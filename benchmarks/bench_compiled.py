@@ -31,7 +31,7 @@ import json
 import sys
 import time
 import tracemalloc
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.checking import check_safety
 from repro.core.statements import format_word
@@ -130,73 +130,51 @@ def run_path(
     return out
 
 
-#: Opt-in --large tier: lazy-spec cells beyond the (2, 2) grid, timed
-#: with a TM-side vs spec-side split so spec-oracle speedups stay
-#: visible in the trajectory.  The split instruments the spec stepper
-#: (rich det_step or the compiled oracle's fill), so the instrumented
-#: round is reported separately from the untimed best round.
+#: Opt-in --large tier: lazy-spec cells beyond the (2, 2) grid — beyond
+#: what the naive path follows in reasonable time — timed on the
+#: compiled path with a TM-side vs spec-side split so spec-oracle costs
+#: stay visible in the trajectory.  The split instruments the compiled
+#: oracle's ``fill``, so the instrumented round is reported separately
+#: from the untimed best round.
 LARGE_FACTORIES: Dict[str, Callable] = {
     "2pl32": lambda: TwoPhaseLockingTM(3, 2),
     "dstm23": lambda: DSTM(2, 3),
 }
 
 
-def run_large_path(
-    factory: Callable, prop, spec_compiled: bool, rounds: int
-) -> Dict[str, object]:
+def run_large_path(factory: Callable, prop, rounds: int) -> Dict[str, object]:
     """Lazy-spec rounds with a spec-side timer on the first (cold) round.
 
-    The spec share is measured by wrapping the path's spec stepper —
-    ``repro.checking.safety.det_step`` on the rich path, the compiled
-    oracle's ``fill`` on the new one — so it counts actual Algorithm 6
-    stepping, not memo hits.  Wrapper overhead inflates the instrumented
-    round slightly; ``best_s`` comes from later, uninstrumented rounds.
+    The spec share is measured by wrapping the compiled oracle's
+    ``fill``, so it counts actual Algorithm 6 stepping, not memo hits.
+    Wrapper overhead inflates the instrumented round slightly;
+    ``best_s`` comes from later, uninstrumented rounds.
     """
-    import repro.checking.safety as safety_mod
     from repro.spec.compiled import CompiledSpecOracle
 
     tm = factory()
     acc = [0.0, 0]
-    if spec_compiled:
-        orig_fill = CompiledSpecOracle.fill
+    orig_fill = CompiledSpecOracle.fill
 
-        def timed_fill(self, sid, sym):
-            t0 = time.perf_counter()
-            out = orig_fill(self, sid, sym)
-            acc[0] += time.perf_counter() - t0
-            acc[1] += 1
-            return out
+    def timed_fill(self, sid, sym):
+        t0 = time.perf_counter()
+        out = orig_fill(self, sid, sym)
+        acc[0] += time.perf_counter() - t0
+        acc[1] += 1
+        return out
 
-        CompiledSpecOracle.fill = timed_fill  # type: ignore[method-assign]
-        restore = lambda: setattr(CompiledSpecOracle, "fill", orig_fill)
-    else:
-        orig_step = safety_mod.det_step
-
-        def timed_step(state, stmt, prop_):
-            t0 = time.perf_counter()
-            out = orig_step(state, stmt, prop_)
-            acc[0] += time.perf_counter() - t0
-            acc[1] += 1
-            return out
-
-        safety_mod.det_step = timed_step
-        restore = lambda: setattr(safety_mod, "det_step", orig_step)
-
+    CompiledSpecOracle.fill = timed_fill  # type: ignore[method-assign]
     try:
         t0 = time.perf_counter()
-        result = check_safety(
-            tm, prop, lazy_spec=True, spec_compiled=spec_compiled
-        )
+        result = check_safety(tm, prop, lazy_spec=True)
         instrumented = time.perf_counter() - t0
     finally:
-        restore()
+        CompiledSpecOracle.fill = orig_fill  # type: ignore[method-assign]
 
     times = []
     for _ in range(max(1, rounds - 1)):
         t0 = time.perf_counter()
-        result = check_safety(
-            tm, prop, lazy_spec=True, spec_compiled=spec_compiled
-        )
+        result = check_safety(tm, prop, lazy_spec=True)
         times.append(time.perf_counter() - t0)
     return {
         "holds": result.holds,
@@ -217,34 +195,16 @@ def run_large_path(
     }
 
 
-def run_large_tier(rounds: int) -> Tuple[list, List[str]]:
-    cells = []
-    failures: List[str] = []
-    for name, factory in LARGE_FACTORIES.items():
-        for prop_name, prop in PROPS.items():
-            rich = run_large_path(factory, prop, False, rounds)
-            comp = run_large_path(factory, prop, True, rounds)
-            for key in ("holds", "tm_states", "spec_states",
-                        "product_states", "counterexample"):
-                if rich[key] != comp[key]:
-                    failures.append(
-                        f"large {name}/{prop_name}: {key} differs"
-                        f" ({rich[key]!r} vs {comp[key]!r})"
-                    )
-            cells.append(
-                {
-                    "tm": name,
-                    "prop": prop_name,
-                    "holds": rich["holds"],
-                    "tm_states": rich["tm_states"],
-                    "rich_oracle": rich,
-                    "compiled_oracle": comp,
-                    "speedup_best": round(
-                        rich["best_s"] / comp["best_s"], 2
-                    ),
-                }
-            )
-    return cells, failures
+def run_large_tier(rounds: int) -> list:
+    return [
+        {
+            "tm": name,
+            "prop": prop_name,
+            "compiled_oracle": run_large_path(factory, prop, rounds),
+        }
+        for name, factory in LARGE_FACTORIES.items()
+        for prop_name, prop in PROPS.items()
+    ]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -358,8 +318,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     large_cells: list = []
     if args.large:
-        large_cells, large_failures = run_large_tier(args.rounds)
-        failures.extend(large_failures)
+        large_cells = run_large_tier(args.rounds)
 
     report = {
         "benchmark": "compiled packed-state TM engine vs PR 1 lazy path",
@@ -399,14 +358,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         f" -> {args.output}"
     )
     for c in large_cells:
-        rich, comp = c["rich_oracle"], c["compiled_oracle"]
+        comp = c["compiled_oracle"]
         print(
             f"large {c['tm']}/{c['prop']}:"
-            f" rich {rich['best_s']:.3f}s"
-            f" (spec share {rich['spec_share']:.0%})"
-            f" -> compiled {comp['best_s']:.3f}s"
-            f" (spec share {comp['spec_share']:.0%}),"
-            f" speedup {c['speedup_best']:.2f}x"
+            f" compiled {comp['best_s']:.3f}s"
+            f" (spec share {comp['spec_share']:.0%})"
         )
     if failures:
         for f in failures:

@@ -1,46 +1,45 @@
 """Benchmark gate for the compiled spec oracle (lazy-spec safety path).
 
-Times ``check_safety(..., lazy_spec=True)`` per cell — the PR 2 engine
-(compiled TM side, *rich* ``det_step`` spec oracle; ``spec_compiled=
-False``) vs the compiled spec oracle (packed-int spec states, memoized
+Times ``check_safety(..., lazy_spec=True)`` per cell — the naive
+reference path (``compiled=False``: tuple-of-frozensets TM states, rich
+``det_step`` spec oracle) vs the compiled packed product (compiled TM
+engine, compiled spec oracle with packed-int states and memoized
 int-indexed rows) — and writes ``BENCH_spec_compiled.json``.  Verdicts
 and all reported counts are asserted identical between the paths before
-any timing is reported, and a ``--jobs`` differential asserts that
-sharded runs reproduce the serial results bit for bit.
+any timing is reported.
 
 As in ``bench_compiled.py``, each path runs ``--rounds`` rounds per cell
 on one long-lived TM instance: ``cold_s`` is the first round (for the
 compiled path that includes compiling both engines), ``best_s`` the
-fastest round (steady state — the PR 2 path re-derives its spec rows
-every round because its oracle memo is per-run; the compiled oracle's
-process-wide memo is precisely the optimization under test).  A third
-number, ``disk_warm_s``, times a simulated fresh process: engines
-restored from an on-disk warm cache written by the previous rounds.
-A ``warm_backends`` block rides along per cell, comparing the pickle
-disk backend against the zero-deserialization mmap backend — whole
+fastest round (steady state — the naive path re-derives its rows every
+round because its memos are per-run; the compiled engines' process-wide
+memos are precisely the optimization under test).  A third number,
+``disk_warm_s``, times a simulated fresh process: engines restored from
+an on-disk warm cache written by the previous rounds.  A
+``warm_backends`` block rides along per cell, comparing the pickle disk
+backend against the zero-deserialization mmap backend — whole
 warm-check time, direct payload-load time, stored bytes, and the bytes
 saved against an int64-pickle baseline (the pre-typed-width format) —
 gated by ``--require-mmap-parity``.
 
-Each cell additionally records a ``product_bfs`` time split: the kernel
-product functions timed directly on fully warm engines, isolating the
-pair loop from row computation — the packed-oracle BFS, the **dense
-kernel's** array-only bitset BFS over the recorded CSR (``dense_bfs_s``
-/ ``dense_speedup``, gated by ``--require-dense-parity``), and (on
-cells whose full spec is materializable) the DFA-sided BFS over the
-Statement-keyed delta vs the int-indexed rows, which must not be slower
-(``--require-dfa-parity``).  The ``--jobs`` differential runs both
-sharding flavours — the sharded product BFS itself and row-only
-sharding — and records their timings next to the serial ones; a
-``jobs_sweep`` (default 1/2/4, with the chosen ``--chunk-size`` and
-pool reuse) is recorded per cell, flagged as correctness-only on 1-core
-boxes.  A per-phase ``profile`` split (engine build / row discovery /
-product BFS / trace rerun) of one cold check rides along per cell.
+Each cell additionally records a ``product_bfs`` time split: the packed
+product timed directly on fully warm engines, isolating the pair loop
+from row computation — the set-based loop over the oracle rows, the
+**dense kernel's** array-only bitset BFS over the recorded CSR
+(``dense_bfs_s`` / ``dense_speedup``, gated by
+``--require-dense-parity``), and (on cells whose full spec is
+materializable) the same product over the int-rows spec DFA, set-based
+and dense.  A per-phase ``profile`` split (engine build / row discovery
+/ product BFS / trace rerun) of one cold check rides along per cell.
+
+The naive reference explores the lazy product without any compiled
+table, so it is only practical on the (2, 2)-sized cells; the default
+cell list is ``dstm22``.
 
 Intended CI use::
 
     PYTHONPATH=src python benchmarks/bench_spec_compiled.py \
-        --cells dstm22 --rounds 3 --require-speedup 1.5 \
+        --cells dstm22 --rounds 3 --require-speedup 1.3 \
         --require-dense-parity 1.5
 """
 
@@ -61,15 +60,10 @@ from repro.cache import (
     make_backend,
     widen_int_vector,
 )
-from repro.automata.kernel import (
-    product_dfa_direct,
-    product_dfa_packed,
-    product_oracle_packed,
-)
+from repro.automata.kernel import product_packed
 from repro.checking import check_safety
 from repro.core.statements import format_word
 from repro.spec import OP, SS
-from repro.spec.build import cached_det_spec
 from repro.spec.compiled import (
     cached_spec_dfa,
     cached_spec_oracle,
@@ -78,8 +72,8 @@ from repro.spec.compiled import (
 from repro.tm import DSTM, TwoPhaseLockingTM, compile_tm
 
 #: Cells: name -> (factory, human instance label, dfa_split).  The
-#: (2, 3) DSTM cell is the ROADMAP's "large lazy-spec run" — the one
-#: PR 2 left dominated by the rich spec oracle.  ``dfa_split`` marks the
+#: (2, 3) DSTM cell is the "large lazy-spec run" — far beyond what the
+#: naive reference can follow in reasonable time.  ``dfa_split`` marks the
 #: cells whose full deterministic spec is cheap enough to materialize
 #: for the DFA-sided product-BFS split (the large lazy-only cells exist
 #: precisely because it is not).
@@ -96,14 +90,9 @@ PROPS = {"ss": SS, "op": OP}
 def run_path(
     factory: Callable,
     prop,
-    spec_compiled: bool,
+    compiled: bool,
     rounds: int,
-    jobs: int = 1,
-    shard_product: bool = True,
     cache_dir: Optional[str] = None,
-    chunk_size: Optional[int] = None,
-    reuse_pool: bool = False,
-    dense_kernel: bool = True,
 ) -> dict:
     """Rounds of one cell on one long-lived TM instance."""
     tm = factory()
@@ -115,12 +104,8 @@ def run_path(
             tm,
             prop,
             lazy_spec=True,
-            spec_compiled=spec_compiled,
-            dense_kernel=dense_kernel,
-            jobs=jobs,
-            shard_product=shard_product,
-            chunk_size=chunk_size,
-            reuse_pool=reuse_pool,
+            compiled=compiled,
+            dense_kernel=True if compiled else None,
             cache_dir=cache_dir,
         )
 
@@ -129,8 +114,6 @@ def run_path(
         t0 = time.perf_counter()
         check()
         times.append(time.perf_counter() - t0)
-    if reuse_pool:
-        compile_tm(tm).close_pools()
     assert result is not None
     return {
         "holds": result.holds,
@@ -153,13 +136,10 @@ def product_bfs_split(
     """Pure product-BFS timings on *fully warm* engines.
 
     ``check_safety`` times above include row computation and engine
-    warm-up; here the kernel product functions are timed directly with
-    every row memoized, isolating the pair-loop itself — the bottleneck
-    the sharded product BFS attacks.  On ``dfa_split`` cells the
-    DFA-sided loop is timed twice: over the Statement-keyed delta
-    (``product_dfa_direct``) and over the int-indexed rows
-    (``product_dfa_packed``) — the int-ized delta must not be slower on
-    any cell.
+    warm-up; here the packed product is timed directly with every row
+    memoized, isolating the pair loop itself.  On ``dfa_split`` cells
+    the same product is also timed over the int-rows spec DFA (the
+    oracle with every row filled), set-based and dense.
     """
     tm = factory()
     engine = compile_tm(tm)
@@ -181,10 +161,11 @@ def product_bfs_split(
 
     out = {
         "oracle_packed_bfs_s": best(
-            lambda: product_oracle_packed(
+            lambda: product_packed(
                 engine.safety_row_ids,
                 init,
-                oracle,
+                oracle.rows,
+                fill=oracle.fill,
                 node_span=engine.node_span,
                 row_map=row_map,
             )
@@ -193,10 +174,11 @@ def product_bfs_split(
         # the CSR recorded by the warm-up check above — the acceptance
         # split of the dense-kernel PR, gated by --require-dense-parity.
         "dense_bfs_s": best(
-            lambda: product_oracle_packed(
+            lambda: product_packed(
                 engine.safety_row_ids,
                 init,
-                oracle,
+                oracle.rows,
+                fill=oracle.fill,
                 node_span=engine.node_span,
                 row_map=row_map,
                 dense=dense,
@@ -207,14 +189,9 @@ def product_bfs_split(
         out["oracle_packed_bfs_s"] / out["dense_bfs_s"], 2
     )
     if dfa_split:
-        spec = cached_det_spec(tm.n, tm.k, prop)
-        check_safety(tm, prop, spec_compiled=False)  # warm Statement rows
         cdfa = cached_spec_dfa(tm.n, tm.k, prop).ensure()
-        out["dfa_statement_bfs_s"] = best(
-            lambda: product_dfa_direct(engine.safety_row, init, spec)
-        )
         out["dfa_int_bfs_s"] = best(
-            lambda: product_dfa_packed(
+            lambda: product_packed(
                 engine.safety_row_ids,
                 init,
                 cdfa.rows,
@@ -222,12 +199,9 @@ def product_bfs_split(
                 row_map=row_map,
             )
         )
-        out["dfa_int_not_slower"] = (
-            out["dfa_int_bfs_s"] <= out["dfa_statement_bfs_s"]
-        )
         dense_dfa = engine.dense_csr("dfa", prop)
         out["dfa_dense_bfs_s"] = best(  # first round records the CSR
-            lambda: product_dfa_packed(
+            lambda: product_packed(
                 engine.safety_row_ids,
                 init,
                 cdfa.rows,
@@ -319,40 +293,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument(
         "--cells",
-        default="dstm22,dstm23",
+        default="dstm22",
         help=f"comma-separated subset of {list(CELLS)}",
-    )
-    parser.add_argument(
-        "--jobs-check",
-        type=int,
-        default=2,
-        metavar="N",
-        help="assert jobs=N results equal serial results, for both the"
-        " sharded product BFS and row-only sharding (0 disables, and"
-        " also disables the jobs sweep)",
-    )
-    parser.add_argument(
-        "--jobs-sweep",
-        default="1,2,4",
-        metavar="LIST",
-        help="comma-separated jobs values for the recorded sharded-"
-        "product timing sweep (skipped when --jobs-check is 0)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=64,
-        metavar="N",
-        help="row-prefetcher chunk size recorded with the jobs sweep"
-        " (scheduling-only; results are identical for any value)",
-    )
-    parser.add_argument(
-        "--require-dfa-parity",
-        type=float,
-        default=None,
-        metavar="TOL",
-        help="fail unless the int-ized DFA product BFS is within TOL x"
-        " of the Statement-keyed one on every dfa-split cell (e.g. 1.1)",
     )
     parser.add_argument(
         "--require-dense-parity",
@@ -383,7 +325,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=None,
         help="fail unless every benchmarked cell reaches this best-round"
-        " speedup over the PR 2 path",
+        " speedup over the naive reference path",
     )
     parser.add_argument("--output", default="BENCH_spec_compiled.json")
     args = parser.parse_args(argv)
@@ -398,7 +340,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name in names:
         factory, label, dfa_split = CELLS[name]
         for prop_name, prop in PROPS.items():
-            pr2 = run_path(factory, prop, False, args.rounds)
+            naive = run_path(factory, prop, False, args.rounds)
             comp = run_path(factory, prop, True, args.rounds)
             for key in (
                 "holds",
@@ -407,10 +349,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "product_states",
                 "counterexample",
             ):
-                if pr2[key] != comp[key]:
+                if naive[key] != comp[key]:
                     failures.append(
                         f"{name}/{prop_name}: {key} differs between paths"
-                        f" ({pr2[key]!r} vs {comp[key]!r})"
+                        f" ({naive[key]!r} vs {comp[key]!r})"
                     )
             cell = {
                 "cell": name,
@@ -420,121 +362,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "tm_states": comp["tm_states"],
                 "spec_states": comp["spec_states"],
                 "product_states": comp["product_states"],
-                "pr2_oracle": pr2,
+                "naive": naive,
                 "compiled_oracle": comp,
-                "speedup_cold": round(pr2["cold_s"] / comp["cold_s"], 2),
-                "speedup_best": round(pr2["best_s"] / comp["best_s"], 2),
+                "speedup_cold": round(naive["cold_s"] / comp["cold_s"], 2),
+                "speedup_best": round(naive["best_s"] / comp["best_s"], 2),
             }
             cell["product_bfs"] = product_bfs_split(
                 factory, prop, args.rounds, dfa_split
             )
-            if args.jobs_check:
-                result_keys = (
-                    "holds",
-                    "tm_states",
-                    "spec_states",
-                    "product_states",
-                    "counterexample",
-                )
-                sharded = run_path(
-                    factory, prop, True, 1, jobs=args.jobs_check
-                )
-                rows_only = run_path(
-                    factory,
-                    prop,
-                    True,
-                    1,
-                    jobs=args.jobs_check,
-                    shard_product=False,
-                    chunk_size=args.chunk_size,
-                )
-                for variant, res in (
-                    ("sharded-product", sharded),
-                    ("row-sharding", rows_only),
-                ):
-                    for key in result_keys:
-                        if res[key] != comp[key]:
-                            failures.append(
-                                f"{name}/{prop_name}: jobs="
-                                f"{args.jobs_check} {variant} {key}"
-                                f" differs from serial"
-                                f" ({res[key]!r} vs {comp[key]!r})"
-                            )
-                cell["jobs"] = {
-                    "n": args.jobs_check,
-                    "sharded_product_s": sharded["cold_s"],
-                    "row_sharding_s": rows_only["cold_s"],
-                    "identical": all(
-                        sharded[k] == comp[k] and rows_only[k] == comp[k]
-                        for k in result_keys
-                    ),
-                }
-                # The recorded multicore sweep (ROADMAP item (b)):
-                # sharded-product and row-sharding timings per jobs
-                # value with the chosen prefetcher chunk size.  Each
-                # jobs>1 config runs TWO rounds with reuse_pool=True —
-                # the first pays the pool spawn (``*_s``), the second
-                # reuses the parked pool and its warm workers
-                # (``*_reused_s``), isolating the pool-reuse knob.  The
-                # dense kernel is disabled here so the sweep times the
-                # sharding machinery, not the array replay.  The j=1
-                # entry reuses the serial cold timing already recorded
-                # for this cell.  On a 1-core box these are correctness
-                # runs, not wins — flagged via the note.
-                sweep = []
-                for j in sorted(
-                    {
-                        int(x)
-                        for x in args.jobs_sweep.split(",")
-                        if x.strip()
-                    }
-                ):
-                    entry = {"jobs": j, "chunk_size": args.chunk_size}
-                    if j <= 1:
-                        entry["sharded_product_s"] = comp["cold_s"]
-                        entry["row_sharding_s"] = comp["cold_s"]
-                        entry["identical"] = True  # comp *is* serial
-                    else:
-                        sp = run_path(
-                            factory,
-                            prop,
-                            True,
-                            2,
-                            jobs=j,
-                            reuse_pool=True,
-                            dense_kernel=False,
-                        )
-                        ro = run_path(
-                            factory,
-                            prop,
-                            True,
-                            2,
-                            jobs=j,
-                            shard_product=False,
-                            chunk_size=args.chunk_size,
-                            reuse_pool=True,
-                            dense_kernel=False,
-                        )
-                        entry["sharded_product_s"] = sp["cold_s"]
-                        entry["sharded_product_reused_s"] = sp["best_s"]
-                        entry["row_sharding_s"] = ro["cold_s"]
-                        entry["row_sharding_reused_s"] = ro["best_s"]
-                        entry["identical"] = all(
-                            sp[k] == comp[k] and ro[k] == comp[k]
-                            for k in result_keys
-                        )
-                    if not entry["identical"]:
-                        failures.append(
-                            f"{name}/{prop_name}: jobs sweep j={j}"
-                            f" diverged from serial"
-                        )
-                    sweep.append(entry)
-                cell["jobs_sweep"] = sweep
-                if os.cpu_count() == 1:
-                    cell["jobs_sweep_note"] = (
-                        "cpu_count==1: sharded timings are correctness"
-                        " runs, not wins"
-                    )
             prof: Dict[str, float] = {}
             check_safety(
                 factory(), prop, lazy_spec=True, profile=prof
@@ -562,19 +397,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f" {cell['speedup_best']}x <"
                     f" required {args.require_speedup}x"
                 )
-    if args.require_dfa_parity is not None:
-        for cell in cells:
-            split = cell["product_bfs"]
-            if "dfa_int_bfs_s" not in split:
-                continue
-            bound = split["dfa_statement_bfs_s"] * args.require_dfa_parity
-            if split["dfa_int_bfs_s"] > bound:
-                failures.append(
-                    f"{cell['cell']}/{cell['prop']}: int-ized DFA product"
-                    f" {split['dfa_int_bfs_s']}s >"
-                    f" {args.require_dfa_parity}x Statement path"
-                    f" {split['dfa_statement_bfs_s']}s"
-                )
     if args.require_dense_parity is not None:
         for cell in cells:
             split = cell["product_bfs"]
@@ -601,20 +423,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f" {wb['disk']['payload_load_s']}s"
                 )
 
-    total_pr2 = sum(c["pr2_oracle"]["best_s"] for c in cells)
+    total_naive = sum(c["naive"]["best_s"] for c in cells)
     total_comp = sum(c["compiled_oracle"]["best_s"] for c in cells)
     report = {
         "benchmark": (
-            "compiled spec oracle vs PR 2 rich det_step oracle"
+            "compiled packed product vs the naive reference"
             " (lazy-spec safety path)"
         ),
         "rounds": args.rounds,
         "cpu_count": os.cpu_count(),
         "cells": cells,
         "summary": {
-            "total_pr2_best_s": round(total_pr2, 6),
+            "total_naive_best_s": round(total_naive, 6),
             "total_compiled_best_s": round(total_comp, 6),
-            "overall_speedup_best": round(total_pr2 / total_comp, 2),
+            "overall_speedup_best": round(total_naive / total_comp, 2),
             "failures": failures,
         },
     }
@@ -634,12 +456,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         ]
         if "dfa_int_bfs_s" in split:
             extras.append(
-                f"dfa int {split['dfa_int_bfs_s']:.4f}s vs stmt"
-                f" {split['dfa_statement_bfs_s']:.4f}s"
-            )
-        if "jobs" in c:
-            extras.append(
-                f"jobs{c['jobs']['n']} {c['jobs']['sharded_product_s']:.4f}s"
+                f"dfa {split['dfa_int_bfs_s']:.4f}s"
+                f" dense {split['dfa_dense_bfs_s']:.4f}s"
             )
         if "warm_backends" in c:
             wb = c["warm_backends"]
@@ -652,7 +470,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f" vs int64 pickle)"
             )
         print(
-            f"{lbl:{width}s}  pr2 {c['pr2_oracle']['best_s']:8.4f}s"
+            f"{lbl:{width}s}  naive {c['naive']['best_s']:8.4f}s"
             f"  compiled {c['compiled_oracle']['best_s']:8.4f}s"
             f"  speedup {c['speedup_best']:6.2f}x"
             f"  (cold {c['speedup_cold']:.2f}x"
@@ -660,9 +478,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             + "; " + ", ".join(extras) + ")"
         )
     print(
-        f"overall (best rounds): pr2 {total_pr2:.3f}s,"
+        f"overall (best rounds): naive {total_naive:.3f}s,"
         f" compiled {total_comp:.3f}s,"
-        f" speedup {total_pr2 / total_comp:.2f}x -> {args.output}"
+        f" speedup {total_naive / total_comp:.2f}x -> {args.output}"
     )
     if failures:
         for f in failures:

@@ -248,8 +248,8 @@ class InternedDFA:
 
         ``delta_by_symbol_ids(symbols)[i][sym_id]`` is the successor of
         state ``i`` on ``symbols[sym_id]``, or ``-1`` for the implicit
-        rejecting sink — the representation the all-int product kernels
-        (:func:`repro.automata.kernel.product_dfa_packed`) index with no
+        rejecting sink — the representation the all-int product kernel
+        (:func:`repro.automata.kernel.product_packed`) indexes with no
         symbol hashing on the hot path.  Symbols of the DFA that are
         missing from ``symbols`` would be unreachable through an id-only
         checker, so they are rejected loudly rather than dropped.

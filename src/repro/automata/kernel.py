@@ -23,23 +23,18 @@ successor states stream directly into the product and each state's
 transition row is computed (and ordered) exactly once, on first visit.
 This is what lets the safety pipeline skip building the full TM NFA.
 
-Finally, :func:`product_dfa_direct` / :func:`product_oracle_direct` run
-the same BFS over *pre-encoded* left states: the compiled TM engine
-(:mod:`repro.tm.compiled`) hands over packed-int states with rows
-already symbol-grouped and ordered, so pairs encode without any per-run
-re-interning while BFS order (and hence verdicts and counterexamples)
-stays byte-identical to the naive streamed path.
+Finally, :func:`product_packed` runs the same BFS over *pre-encoded*
+states on both sides: the compiled TM engine (:mod:`repro.tm.compiled`)
+hands over packed-int states with rows already symbol-grouped and
+ordered, and the specification is an int-indexed row table — the
+compiled spec oracle filling its rows on demand, or a materialized DFA
+whose rows are all filled.  Integer statement ids, single-machine-word
+pair keys and an untraced traversal with a traced rerun on violation
+keep BFS order (and hence verdicts and counterexamples) byte-identical
+to the naive streamed path.
 
-The all-int endgame is :func:`product_oracle_packed` and its DFA-sided
-twin :func:`product_dfa_packed`: integer statement ids on both sides,
-single-machine-word pair keys, untraced traversal with a traced rerun on
-violation — and, given a :class:`PairSharder`, the product BFS *itself*
-runs level-synchronized across a process pool, hash-partitioned by
-``pair % jobs``, with a determinism argument (:func:`_sharded_pair_bfs`)
-that keeps every observable output byte-identical to serial.
-
-On top of the packed products sits the **dense kernel**
-(:class:`DenseCSR`): the first serial untraced pass additionally interns
+On top of the packed product sits the **dense kernel**
+(:class:`DenseCSR`): the first untraced pass additionally interns
 product pairs into dense ids ``0..P-1`` and records every successor list
 into flat CSR arrays (``array('q')`` offsets/targets).  Every later run
 of the same product — a repeated check, a benchmark round, a process
@@ -49,7 +44,7 @@ successors → mask out seen → extend frontier" sweeps over the CSR with a
 bitset seen-set (a vectorizing numpy fast path is auto-detected; the
 pure-stdlib bytearray path is always present).  Violating products
 keep their partial CSR with the violating pair flagged, so warm reruns
-short-circuit straight to the serial traced twin — verdicts,
+short-circuit straight to the traced twin — verdicts,
 counterexamples and every reported count stay byte-identical to the
 set-based path, which remains available as the differential reference
 (``check_safety(dense_kernel=False)`` / ``--no-dense-kernel``).
@@ -290,153 +285,20 @@ class _LazyLeft:
 RowFn = Callable[[int], Tuple]
 
 
-def _discover_row(
-    row: Tuple,
-    discovered: set,
-    max_states: Optional[int],
-) -> None:
-    """Record a freshly expanded row's successors as discovered states.
-
-    Mirrors :class:`_LazyLeft`'s interning moment exactly: the naive
-    path interns every successor when a state's row is first built, so
-    the discovered-state count (and the ``max_states`` guard, message
-    included) stays byte-identical on the direct packed path.
-    """
-    if max_states is None:
-        for _symbol, succs in row:
-            discovered.update(succs)
-        return
-    for _symbol, succs in row:
-        for succ in succs:
-            if succ not in discovered:
-                if len(discovered) >= max_states:
-                    raise RuntimeError(
-                        f"state-space exploration exceeded {max_states}"
-                        f" states (at {len(discovered) + 1})"
-                    )
-                discovered.add(succ)
-
-
-#: Level hook for sharded runs: called with the left states of each BFS
-#: level before the level is processed, so an engine can batch-compute
-#: (e.g. across a process pool) the rows the level will demand.
-#: Prefetching is an optimization only — rows are memoized either way —
-#: so a ``None`` prefetch is byte-identical to any other.
-PrefetchFn = Callable[[List[int]], None]
-
-
-class PairSharder:
-    """Backend protocol of the *sharded product BFS* (duck-typed).
-
-    Where :data:`PrefetchFn` only batch-computes left rows, a pair
-    sharder executes whole product levels on a worker pool: the parent
-    partitions each pair frontier by ``pair % jobs``, workers expand
-    their shard (left row + right step, both against worker-local
-    engines rebuilt from the algorithm seed) and return the successor
-    pairs, and the parent merges them into the seen-set between level
-    barriers.  Pairs cross process boundaries in a *stable* encoding
-    ``right_key << span_bits | stable_node`` — the right component is
-    the canonical packed spec state (process-independent by
-    construction), the left the codec-bits node encoding of
-    :meth:`repro.tm.compiled.CompiledTM.stable_of_node`.
-
-    The concrete implementation lives in :mod:`repro.tm.compiled`
-    (``Sharder.pair_sharder``); the kernel only needs:
-
-    * ``jobs`` — the shard count;
-    * ``stable_pairs(packed_nodes)`` — initial pairs (right key 0) in
-      stable encoding, in input order;
-    * ``expand_pairs(shards)`` — one ``(violated, successor_pairs)``
-      result per shard, aligned with the input order; the successor
-      container is any int sequence (the concrete backend ships flat
-      ``array('q')`` slices where the pairs fit a machine word).
-    """
-
-    jobs: int
-
-    def stable_pairs(self, packed_nodes: List[int]) -> List[int]:
-        raise NotImplementedError
-
-    def expand_pairs(
-        self, shards: List[List[int]]
-    ) -> List[Tuple[bool, Sequence[int]]]:
-        raise NotImplementedError
-
-
-def _sharded_pair_bfs(
-    sharder: PairSharder, init_stable: List[int], span_bits: int
-):
-    """Level-synchronized, hash-partitioned product BFS over stable pairs.
-
-    Returns ``(violated, pairs, states_seen, spec_states_seen)``.  The
-    determinism argument: a BFS level is a pure function of the previous
-    level and the seen-set (``level_{i+1} = succ(level_i) \\ seen``), so
-    the level *sets* — and with them the final seen-set — are invariant
-    under how a level is partitioned across shards and in which order a
-    shard's successors are merged back.  Every count reported by the
-    holding case is a function of the seen-set alone:
-
-    * ``pairs`` is its size;
-    * ``states_seen`` is the number of distinct left components — in the
-      holding case every successor of every expanded row becomes a pair,
-      so this equals the serial ``discovered`` set (initial states plus
-      all row successors of expanded states);
-    * ``spec_states_seen`` is the number of distinct right components,
-      exactly the serial parent-map recovery.
-
-    Violations carry no counts: the caller reruns the serial *traced*
-    twin, which is byte-identical to the serial path by construction
-    (it *is* the serial path).  ``max_states`` guards are likewise left
-    to the serial path — callers must not hand a sharder over when a
-    bound is set, so the guard's message stays byte-identical.
-
-    The two component counts are tracked *incrementally* as pairs enter
-    the seen-set (a full-set comprehension at the end would re-walk —
-    and briefly duplicate — the whole seen-set, which at millions of
-    pairs is real time and real memory).  Workers ship their successor
-    slices back as flat ``array('q')`` chunks where the stable pairs fit
-    a machine word (see :func:`repro.tm.compiled._worker_expand_pairs`);
-    the merge below is agnostic to the container.
-    """
-    jobs = sharder.jobs
-    span_mask = (1 << span_bits) - 1
-    frontier = list(dict.fromkeys(init_stable))
-    seen = set(frontier)
-    add = seen.add
-    left_seen = {p & span_mask for p in frontier}
-    right_seen = {p >> span_bits for p in frontier}
-    left_add = left_seen.add
-    right_add = right_seen.add
-    while frontier:
-        shards: List[List[int]] = [[] for _ in range(jobs)]
-        for p in frontier:
-            shards[p % jobs].append(p)
-        nxt: List[int] = []
-        push = nxt.append
-        # Shard results are merged in shard-index order: deterministic,
-        # and — per the argument above — any order yields the same sets.
-        for violated, succs in sharder.expand_pairs(shards):
-            if violated:
-                return True, 0, 0, 0
-            for s in succs:
-                if s not in seen:
-                    add(s)
-                    push(s)
-                    left_add(s & span_mask)
-                    right_add(s >> span_bits)
-        frontier = nxt
-    return False, len(seen), len(left_seen), len(right_seen)
-
-
 def _discover_row_ids(
     row: Tuple,
     discovered: set,
     max_states: Optional[int],
 ) -> None:
-    """:func:`_discover_row` for all-int id rows, whose singleton
-    successor groups are bare ints rather than 1-tuples (see
-    ``CompiledTM.safety_row_ids``).  Semantics — counts, guard, message —
-    are identical."""
+    """Record a freshly expanded all-int row's successors as discovered
+    states (singleton successor groups are bare ints, see
+    ``CompiledTM.safety_row_ids``).
+
+    Mirrors :class:`_LazyLeft`'s interning moment exactly: the naive
+    path interns every successor when a state's row is first built, so
+    the discovered-state count (and the ``max_states`` guard, message
+    included) stays byte-identical on the packed path.
+    """
     if max_states is None:
         for _symbol, succs in row:
             if type(succs) is int:
@@ -477,26 +339,26 @@ class DenseCSR:
     discovery order (initial pairs first); the adjacency is stored in
     CSR form — ``targets[offsets[i]:offsets[i+1]]`` are the dense ids of
     pair ``i``'s successors, in exactly the order the packed product
-    functions emit them.  Two parallel arrays keep the pair components
+    emits them.  Two parallel arrays keep the pair components
     for count recovery: ``node_keys[i]`` is the left (TM) component and
     ``spec_ids[i]`` the right (spec) component of pair ``i`` — both used
     only for *distinct* counts and the initial-pair match, so any
     per-run bijective relabeling of either side is admissible.
 
-    A CSR is built as a by-product of the first serial untraced pass
-    (:func:`_product_oracle_packed_dense` / :func:`_product_dfa_packed_dense`)
-    and replayed by :meth:`run`: a level-synchronous BFS over the arrays
-    with a bitset seen-set — "gather successors → mask out seen → extend
-    frontier".  With numpy the sweep is vectorized (fancy-indexed
-    gather, boolean-mask seen filtering, dedup through a level-local
-    marker bitset extracted with ``flatnonzero`` — same sorted frontier
+    A CSR is built as a by-product of the first untraced pass
+    (:func:`_product_packed_dense`) and replayed by :meth:`run`: a
+    level-synchronous BFS over the arrays with a bitset seen-set —
+    "gather successors → mask out seen → extend frontier".  With numpy
+    the sweep is vectorized (fancy-indexed gather, boolean-mask seen
+    filtering, dedup through a level-local marker bitset extracted
+    with ``flatnonzero`` — same sorted frontier
     as ``np.unique`` without its general sort); the stdlib fallback
     fuses gather and mask into one loop over a ``bytearray`` bitset.
     Holding products are *complete* (every
     reachable pair recorded, no flags): :meth:`run` re-derives the exact
     set-path counts.  Violating products keep a *partial* CSR whose
     violating pair is flagged; :meth:`run` then only answers "violated"
-    and the caller reruns the serial traced twin, so counterexamples and
+    and the caller reruns the traced twin, so counterexamples and
     violation counts are byte-identical by construction.
 
     ``node_keys`` starts in the builder's engine-local packed encoding
@@ -595,11 +457,11 @@ class DenseCSR:
         """Replay the product BFS over the recorded arrays.
 
         Returns ``(violated, pairs, states_seen, spec_states_seen)``
-        with the holding-case counts equal to the set-based path's (the
-        :func:`_sharded_pair_bfs` seen-set argument applies verbatim:
-        all three are functions of the reachable pair set alone).  A
-        violated result carries no counts — the caller reruns the serial
-        traced twin.
+        with the holding-case counts equal to the set-based path's: the
+        replay visits exactly the reachable pair set, and all three
+        counts are functions of that set alone (its size and its
+        distinct left and right components).  A violated result carries
+        no counts — the caller reruns the traced twin.
         """
         if _np is not None:
             return self._run_numpy(_np)
@@ -845,237 +707,72 @@ class DenseAdjacency(NamedTuple):
     label_table: List[Tuple]
 
 
-def product_dfa_direct(
+def product_packed(
     row_fn: RowFn,
     initial: Iterable[int],
-    dfa: DFA,
+    spec_rows: Sequence[Sequence[int]],
     *,
-    max_states: Optional[int] = None,
-    prefetch: Optional[PrefetchFn] = None,
-):
-    """Product reachability over *pre-encoded* left states.
-
-    The left side is given by ``row_fn(packed_state)`` returning
-    ``((symbol_or_None, (packed_succ, ...)), ...)`` with symbols in
-    first-occurrence order and successors deduplicated and ordered
-    exactly as :class:`_LazyLeft` would have produced them — the
-    compiled TM engine (:mod:`repro.tm.compiled`) guarantees this.
-    Because left states are already small ints, product pairs encode as
-    ``packed_state * |dfa| + dfa_state`` with no per-run re-interning,
-    and rows memoized inside ``row_fn`` are shared across runs.
-
-    Returns ``(holds, counterexample, discovered_pairs, states_seen)``
-    with semantics identical to :func:`lazy_product_dfa` — except that
-    ``initial`` must already be in the naive path's order (packed states
-    cannot be repr-sorted to match decoded-node order here; duplicates
-    are dropped, first occurrence wins).
-
-    NOTE: the BFS bodies of the two ``*_direct`` and the two
-    ``_run_product_*`` functions are intentionally parallel; any change
-    to violation handling, ε-moves or the ``max_states`` message must be
-    mirrored across all four (the differential tests in
-    ``tests/checking/test_safety_paths.py`` and
-    ``tests/tm/test_compiled.py`` pin their byte-identity).
-    """
-    ib = intern_dfa(dfa)
-    b_delta = ib.delta
-    nb = ib.n
-
-    init = list(dict.fromkeys(initial))
-    if max_states is not None and len(init) > max_states:
-        raise RuntimeError(
-            f"state-space exploration exceeded {max_states}"
-            f" states (at {max_states + 1})"
-        )
-    discovered = set(init)
-    expanded = set()
-    start = [q * nb + ib.initial for q in init]
-    parent: ParentMap = {pair: None for pair in start}
-    queue = deque(start)
-    pop = queue.popleft
-    push = queue.append
-    # A FIFO BFS holds exactly one depth level whenever the previous
-    # level has fully drained, so draining ``len(queue)`` pairs per
-    # outer iteration visits pairs in the identical order while exposing
-    # each level to ``prefetch`` first.
-    while queue:
-        if prefetch is not None:
-            prefetch([p // nb for p in queue])
-        for _ in range(len(queue)):
-            pair = pop()
-            nq, dq = divmod(pair, nb)
-            row = row_fn(nq)
-            if nq not in expanded:
-                expanded.add(nq)
-                _discover_row(row, discovered, max_states)
-            brow = b_delta[dq]
-            for symbol, succs in row:
-                if symbol is None:
-                    for succ in succs:
-                        nxt = succ * nb + dq
-                        if nxt not in parent:
-                            parent[nxt] = (pair, None)
-                            push(nxt)
-                    continue
-                dsucc = brow.get(symbol)
-                if dsucc is None:
-                    word = reconstruct(parent, pair) + (symbol,)
-                    return False, word, len(parent), len(discovered)
-                for succ in succs:
-                    nxt = succ * nb + dsucc
-                    if nxt not in parent:
-                        parent[nxt] = (pair, symbol)
-                        push(nxt)
-    return True, None, len(parent), len(discovered)
-
-
-def product_oracle_direct(
-    row_fn: RowFn,
-    initial: Iterable[int],
-    spec_initial: Hashable,
-    spec_step: "DetStepFn",
-    *,
-    max_states: Optional[int] = None,
-    prefetch: Optional[PrefetchFn] = None,
-):
-    """:func:`product_dfa_direct` against a deterministic oracle.
-
-    The right side is streamed through ``spec_step`` exactly as in
-    :func:`lazy_product_oracle`; pairs are ``(packed_state, spec_index)``
-    tuples because the spec side grows on demand.
-
-    Returns ``(holds, counterexample, discovered_pairs, states_seen,
-    spec_states_seen)``.  ``initial`` ordering/dedup semantics match
-    :func:`product_dfa_direct`.
-    """
-    init = list(dict.fromkeys(initial))
-    if max_states is not None and len(init) > max_states:
-        raise RuntimeError(
-            f"state-space exploration exceeded {max_states}"
-            f" states (at {max_states + 1})"
-        )
-    discovered = set(init)
-    expanded = set()
-
-    b_index: Dict[Hashable, int] = {spec_initial: 0}
-    b_states: List[Hashable] = [spec_initial]
-    b_rows: List[Dict[Symbol, object]] = [{}]
-
-    start = [(q, 0) for q in init]
-    parent: Dict[Tuple[int, int], Optional[Tuple]] = {
-        pair: None for pair in start
-    }
-    queue = deque(start)
-    pop = queue.popleft
-    push = queue.append
-    while queue:
-        if prefetch is not None:  # see the level note in product_dfa_direct
-            prefetch([p[0] for p in queue])
-        for _ in range(len(queue)):
-            pair = pop()
-            nq, dq = pair
-            row = row_fn(nq)
-            if nq not in expanded:
-                expanded.add(nq)
-                _discover_row(row, discovered, max_states)
-            brow = b_rows[dq]
-            for symbol, succs in row:
-                if symbol is None:
-                    for succ in succs:
-                        nxt = (succ, dq)
-                        if nxt not in parent:
-                            parent[nxt] = (pair, None)
-                            push(nxt)
-                    continue
-                dsucc = brow.get(symbol)
-                if dsucc is None:  # not yet queried: ask the oracle once
-                    target = spec_step(b_states[dq], symbol)
-                    if target is None:
-                        dsucc = brow[symbol] = _SINK
-                    else:
-                        didx = b_index.get(target)
-                        if didx is None:
-                            didx = b_index[target] = len(b_states)
-                            b_states.append(target)
-                            b_rows.append({})
-                        dsucc = brow[symbol] = didx
-                if dsucc is _SINK:
-                    word = reconstruct(parent, pair) + (symbol,)
-                    return (
-                        False,
-                        word,
-                        len(parent),
-                        len(discovered),
-                        len(b_index),
-                    )
-                for succ in succs:
-                    nxt = (succ, dsucc)
-                    if nxt not in parent:
-                        parent[nxt] = (pair, symbol)
-                        push(nxt)
-    return True, None, len(parent), len(discovered), len(b_index)
-
-
-def product_oracle_packed(
-    row_fn: RowFn,
-    initial: Iterable[int],
-    oracle,
-    *,
+    fill: Optional[Callable[[int, int], int]] = None,
     node_span: int,
     row_map: Optional[Dict[int, Tuple]] = None,
     max_states: Optional[int] = None,
-    prefetch: Optional[PrefetchFn] = None,
-    pair_sharder: Optional[PairSharder] = None,
     dense: Optional[DenseCSR] = None,
     profile: Optional[Dict[str, float]] = None,
 ):
-    """:func:`product_oracle_direct` with *integer statement ids* on both
-    sides: an all-int hot path.
+    """Product reachability over packed left states and an int-indexed
+    deterministic specification: the all-int hot path of the safety
+    pipeline.
 
-    ``row_fn(packed_state)`` returns ``((sym_id, (packed_succ, ...)),
-    ...)`` rows with negative ids for ε-moves
-    (``CompiledTM.safety_row_ids``); ``row_map``, when given, is the
-    memo dict behind ``row_fn``, probed directly to skip a Python call
-    per pop on warm rows.  ``oracle`` is a
-    :class:`repro.spec.compiled.CompiledSpecOracle` whose memoized
-    ``rows[spec_id][sym_id]`` table is indexed directly — no dict lookup
-    keyed by rich Statement tuples anywhere.  ``node_span`` is an
-    exclusive bound on packed left states (``CompiledTM.node_span``), so
-    product pairs encode as ``spec_id * node_span + packed_state``: one
-    machine-word key, like :func:`product_dfa_direct`'s.
+    ``row_fn(packed_state)`` returns ``((sym_id, succs), ...)`` rows
+    (``CompiledTM.safety_row_ids``): symbols in first-occurrence order,
+    negative ids for ε-moves, ``succs`` a bare packed int for singleton
+    groups or a tuple deduplicated and ordered exactly as
+    :class:`_LazyLeft` would have produced it.  ``row_map``, when given,
+    is the memo dict behind ``row_fn``, probed directly to skip a Python
+    call per pop on warm rows.
 
-    Because the oracle is shared (and possibly warm from a previous run
-    or the disk cache), spec states are *not* re-interned per run; the
-    per-run ``spec_states_seen`` is recovered from the parent map
-    instead, which provably equals the rich path's count (every spec
-    state the rich path interns appears as the right component of a
-    discovered pair).
+    ``spec_rows[spec_id][sym_id]`` is the successor spec state, ``-1``
+    for the rejecting sink, or ``-2`` for a cell not yet evaluated —
+    which ``fill(spec_id, sym_id)`` evaluates, memoizes into
+    ``spec_rows`` and returns.  State 0 is initial.  The two spec sides
+    of the safety pipeline are the same table at different fill levels:
+    the compiled spec oracle (:class:`repro.spec.compiled.
+    CompiledSpecOracle`, ``fill=oracle.fill``) grows its rows on demand,
+    while a materialized specification (:class:`repro.spec.compiled.
+    CompiledSpecDFA`, or :func:`repro.spec.build.interned_spec_rows`
+    over a caller's DFA) is complete, so ``fill`` never runs.
+
+    ``node_span`` is a power-of-two exclusive bound on packed left states
+    (``CompiledTM.node_span``), so product pairs encode as ``spec_id <<
+    span_bits | packed_state``: one machine-word key.
 
     Returns ``(holds, counterexample_sym_ids, discovered_pairs,
     states_seen, spec_states_seen)`` — the counterexample is a tuple of
-    statement *ids*; callers map them through ``oracle.symbols``.
-    Ordering/dedup semantics of ``initial`` match
-    :func:`product_dfa_direct`, and the BFS body intentionally parallels
-    the other product functions (see the NOTE in
-    :func:`product_dfa_direct`).
+    statement *ids*.  ``initial`` must already be in the naive path's
+    order (duplicates are dropped, first occurrence wins);
+    ``states_seen`` counts distinct left states discovered (successors
+    of every expanded state included) and ``spec_states_seen`` the
+    distinct right components of the discovered pairs.  Every output is
+    byte-identical to the naive :func:`lazy_product_dfa` /
+    :func:`lazy_product_oracle` on the same automata.
 
-    With a ``pair_sharder`` (and no ``max_states`` bound — bounded runs
-    stay serial so the guard's raise point is byte-identical), the BFS
-    itself runs sharded across the pool (see :func:`_sharded_pair_bfs`);
-    a violating sharded run falls back to the serial traced twin, so
-    verdicts, counterexamples and every count are byte-identical to a
-    serial run.
+    The traversal is *untraced* — a plain seen-set and insertion-order
+    list, no parent back-pointers, which is measurably cheaper on the
+    holding cells where the whole product is visited.  A violation
+    reruns the traced twin (:func:`_product_packed_traced`) with a
+    parent map to reconstruct the word; every row/spec query it needs is
+    already memoized, so its cost is a fraction of the first pass.
+    NOTE: the three bodies (untraced, traced, dense-recording) are
+    intentionally parallel; any change to violation handling, ε-moves or
+    the ``max_states`` message must be mirrored across all three (the
+    conformance matrix in ``tests/checking/test_conformance_matrix.py``
+    pins their byte-identity against the naive path).
 
-    A ``dense`` :class:`DenseCSR` (again only without a ``max_states``
-    bound) engages the dense kernel: an already-recorded table replays
-    as the array-only bitset BFS (beating both the serial set path and —
-    on warm products — the sharded one, so it takes precedence over
-    ``pair_sharder``); an empty table is recorded as a by-product of a
-    *serial* first pass — sharded runs of either flavour (a
-    ``pair_sharder``, or a ``prefetch`` hook feeding a row pool) keep
-    their own machinery and record nothing, so a pool is never left
-    idle behind the recorder.  ``profile``, when given, accumulates the
-    traced rerun's time under ``"trace_rerun_s"``.
+    A ``dense`` :class:`DenseCSR` (only without a ``max_states`` bound)
+    engages the dense kernel: an already-recorded table replays as the
+    array-only bitset BFS; an empty one is recorded as a by-product of
+    the untraced pass.  ``profile``, when given, accumulates the traced
+    rerun's time under ``"trace_rerun_s"``.
     """
     init = list(dict.fromkeys(initial))
     if max_states is not None and len(init) > max_states:
@@ -1083,13 +780,15 @@ def product_oracle_packed(
             f"state-space exploration exceeded {max_states}"
             f" states (at {max_states + 1})"
         )
+    assert node_span & (node_span - 1) == 0, "node_span must be 2**b"
 
     def rerun_traced():
         t0 = perf_counter()
-        out = _product_oracle_packed_traced(
+        out = _product_packed_traced(
             row_fn,
             init,
-            oracle,
+            spec_rows,
+            fill=fill,
             node_span=node_span,
             row_map=row_map,
             max_states=max_states,
@@ -1101,70 +800,37 @@ def product_oracle_packed(
         return out
 
     if dense is not None and max_states is None and not dense.disabled:
-        assert oracle.initial_id == 0
-        assert node_span & (node_span - 1) == 0, "node_span must be 2**b"
         if dense.built and dense.matches_init(init):
             violated, pairs, states_seen, spec_seen = dense.run()
             if not violated:
                 return True, None, pairs, states_seen, spec_seen
             return rerun_traced()
-        if pair_sharder is None and prefetch is None:
-            res = _product_oracle_packed_dense(
-                row_fn,
-                init,
-                oracle,
-                node_span=node_span,
-                row_map=row_map,
-                dense=dense,
-            )
-            if res is not None:
-                return res
-            return rerun_traced()
-    if pair_sharder is not None and max_states is None:
-        assert oracle.initial_id == 0
-        assert node_span & (node_span - 1) == 0, "node_span must be 2**b"
-        bits = node_span.bit_length() - 1
-        violated, pairs, states_seen, spec_seen = _sharded_pair_bfs(
-            pair_sharder, pair_sharder.stable_pairs(init), bits
+        res = _product_packed_dense(
+            row_fn,
+            init,
+            spec_rows,
+            fill=fill,
+            node_span=node_span,
+            row_map=row_map,
+            dense=dense,
         )
-        if not violated:
-            return True, None, pairs, states_seen, spec_seen
+        if res is not None:
+            return res
         return rerun_traced()
     discovered = set(init)
     expanded = set()
-
-    orows = oracle.rows
-    fill = oracle.fill
     rows_get = (row_map or {}).get
-
-    # Pairs are spec_id * node_span + packed_node; the initial spec
-    # state has id 0, so the start pairs are the packed nodes themselves.
-    #
-    # This traversal is *untraced*: discovered pairs go into a plain set
-    # and an insertion-order list (no parent back-pointers), which is
-    # measurably cheaper on the holding cells where the whole product is
-    # visited.  When a violation turns up, the traced twin below reruns
-    # the identical BFS with a parent map to reconstruct the word — the
-    # rerun stops at the violation and every row/oracle query it needs
-    # is already memoized, so its cost is a fraction of the first pass.
-    assert oracle.initial_id == 0
-    assert node_span & (node_span - 1) == 0, "node_span must be 2**b"
     span_bits = node_span.bit_length() - 1
     span_mask = node_span - 1
+
+    # The initial spec state has id 0, so the start pairs are the packed
+    # nodes themselves.
     seen = set(init)
     order = list(init)
     add = seen.add
     append = order.append
     i = 0
-    if prefetch is not None:
-        prefetch([p & span_mask for p in order])
-        boundary = len(order)
-    else:
-        boundary = -1
     while i < len(order):
-        if i == boundary:  # see the level note in product_dfa_direct
-            prefetch([p & span_mask for p in order[i:]])
-            boundary = len(order)
         pair = order[i]
         i += 1
         nq = pair & span_mask
@@ -1175,15 +841,15 @@ def product_oracle_packed(
         if nq not in expanded:
             expanded.add(nq)
             _discover_row_ids(row, discovered, max_states)
-        brow = orows[dq]
+        brow = spec_rows[dq]
         for symbol, succs in row:
             if symbol < 0:  # ε: advance the TM component only
                 base = pair - nq
             else:
                 dsucc = brow[symbol]
-                if dsucc == -2:  # UNQUERIED: ask the oracle once, ever
+                if dsucc == -2:  # unqueried: ask the oracle once, ever
                     dsucc = fill(dq, symbol)
-                if dsucc == -1:  # SINK: rerun traced for the word
+                if dsucc == -1:  # sink: rerun traced for the word
                     return rerun_traced()
                 base = dsucc << span_bits
             if type(succs) is int:  # singleton group (the common case)
@@ -1201,23 +867,21 @@ def product_oracle_packed(
     return True, None, len(seen), len(discovered), spec_seen
 
 
-def _product_oracle_packed_traced(
+def _product_packed_traced(
     row_fn: RowFn,
     init: List[int],
-    oracle,
+    spec_rows: Sequence[Sequence[int]],
     *,
+    fill: Optional[Callable[[int, int], int]],
     node_span: int,
     row_map: Optional[Dict[int, Tuple]],
     max_states: Optional[int],
 ):
-    """The parent-map twin of :func:`product_oracle_packed`, run when a
+    """The parent-map twin of :func:`product_packed`, run when a
     violation needs its counterexample reconstructed.  Must visit pairs
-    in the identical order (the NOTE in :func:`product_dfa_direct`
-    applies)."""
+    in the identical order (see the NOTE there)."""
     discovered = set(init)
     expanded = set()
-    orows = oracle.rows
-    fill = oracle.fill
     rows_get = (row_map or {}).get
     span_bits = node_span.bit_length() - 1
     span_mask = node_span - 1
@@ -1236,7 +900,7 @@ def _product_oracle_packed_traced(
         if nq not in expanded:
             expanded.add(nq)
             _discover_row_ids(row, discovered, max_states)
-        brow = orows[dq]
+        brow = spec_rows[dq]
         for symbol, succs in row:
             if symbol < 0:  # ε: advance the TM component only
                 base = pair - nq
@@ -1245,7 +909,7 @@ def _product_oracle_packed_traced(
                 dsucc = brow[symbol]
                 if dsucc == -2:
                     dsucc = fill(dq, symbol)
-                if dsucc == -1:  # SINK
+                if dsucc == -1:  # sink
                     word = reconstruct(parent, pair) + (symbol,)
                     spec_seen = len({p >> span_bits for p in parent})
                     return (
@@ -1267,16 +931,17 @@ def _product_oracle_packed_traced(
     )
 
 
-def _product_oracle_packed_dense(
+def _product_packed_dense(
     row_fn: RowFn,
     init: List[int],
-    oracle,
+    spec_rows: Sequence[Sequence[int]],
     *,
+    fill: Optional[Callable[[int, int], int]],
     node_span: int,
     row_map: Optional[Dict[int, Tuple]],
     dense: DenseCSR,
 ):
-    """The untraced pass of :func:`product_oracle_packed`, recording a
+    """The untraced pass of :func:`product_packed`, recording a
     :class:`DenseCSR` as it goes.
 
     Pairs are interned into dense ids in discovery order (the insertion-
@@ -1285,22 +950,16 @@ def _product_oracle_packed_dense(
     CSR row, so the recorded table is the product's full adjacency in
     the exact emission order.  Returns the holds-tuple, or ``None`` on a
     violation: the violating pair is flagged in the (partial) table and
-    the caller reruns the serial traced twin.  Beyond
-    :data:`DENSE_MAX_EDGES` recorded entries the recorder bails out
-    (``dense.disabled``) and the pass continues with plain set
-    semantics — byte-identical results, no array fast path.
+    the caller reruns the traced twin.  Beyond :data:`DENSE_MAX_EDGES`
+    recorded entries the recorder bails out (``dense.disabled``) and the
+    pass continues with plain set semantics — byte-identical results, no
+    array fast path.
 
     Recording costs the cold pass ~15-35% over the bare set loop on the
     largest cells (appends + dense-id interning), bought back many
     times over by every replay; one-shot cold runs can opt out with
-    ``dense_kernel=False``.  NOTE: this builder and
-    :func:`_product_dfa_packed_dense` are twins by the same mirroring
-    policy as the four product bodies (see :func:`product_dfa_direct`) —
-    any change to interning, recording, the edge budget or violation
-    padding must be applied to both.
+    ``dense_kernel=False``.
     """
-    orows = oracle.rows
-    fill = oracle.fill
     rows_get = (row_map or {}).get
     span_bits = node_span.bit_length() - 1
     span_mask = node_span - 1
@@ -1330,16 +989,16 @@ def _product_oracle_packed_dense(
         row = rows_get(nq)
         if row is None:
             row = row_fn(nq)
-        brow = orows[dq]
+        brow = spec_rows[dq]
         for symbol, succs in row:
             if symbol < 0:  # ε: advance the TM component only
                 base = pair - nq
                 sbase = dq
             else:
                 dsucc = brow[symbol]
-                if dsucc == -2:  # UNQUERIED: ask the oracle once, ever
+                if dsucc == -2:  # unqueried: ask the oracle once, ever
                     dsucc = fill(dq, symbol)
-                if dsucc == -1:  # SINK
+                if dsucc == -1:  # sink
                     violated_at = i
                     break
                 base = dsucc << span_bits
@@ -1388,295 +1047,6 @@ def _product_oracle_packed_dense(
         states_seen = len({p & span_mask for p in ids})
         spec_seen = len({p >> span_bits for p in ids})
     return True, None, len(order), states_seen, spec_seen
-
-
-def product_dfa_packed(
-    row_fn: RowFn,
-    initial: Iterable[int],
-    spec_rows: Sequence[Sequence[int]],
-    *,
-    node_span: int,
-    row_map: Optional[Dict[int, Tuple]] = None,
-    max_states: Optional[int] = None,
-    prefetch: Optional[PrefetchFn] = None,
-    pair_sharder: Optional[PairSharder] = None,
-    dense: Optional[DenseCSR] = None,
-    profile: Optional[Dict[str, float]] = None,
-):
-    """:func:`product_dfa_direct` with *integer statement ids* on both
-    sides — the DFA-sided twin of :func:`product_oracle_packed`.
-
-    ``row_fn`` serves all-int safety rows (``CompiledTM.safety_row_ids``,
-    negative ids for ε) and ``spec_rows`` is the specification's complete
-    int-indexed delta: ``spec_rows[dfa_state][sym_id]`` is the successor
-    state index or ``-1`` for the implicit rejecting sink, with state 0
-    initial (see :class:`repro.spec.compiled.CompiledSpecDFA`).  No
-    Statement is hashed anywhere on the hot path.  Pairs encode as
-    ``dfa_state << span_bits | packed_node``; the traversal is untraced
-    with a traced rerun on violation, exactly as in
-    :func:`product_oracle_packed` (whose ``initial`` semantics, sharding
-    behaviour and byte-identity NOTE all apply).  CAUTION: a
-    ``pair_sharder``'s workers re-derive the specification from its
-    ``(n, k, prop)`` identity, so the sharded path is only sound when
-    ``spec_rows`` is the *canonical* table for that identity — the
-    contract ``check_safety`` enforces by keeping caller-provided specs
-    on the unsharded Statement path; never pass a sharder together with
-    hand-built rows.
-
-    Returns ``(holds, counterexample_sym_ids, discovered_pairs,
-    states_seen)`` — the DFA side is fully materialized, so no
-    spec-states count is reported (callers know ``len(spec_rows)``).
-    ``dense`` and ``profile`` behave exactly as on the oracle-sided
-    twin.
-    """
-    init = list(dict.fromkeys(initial))
-    if max_states is not None and len(init) > max_states:
-        raise RuntimeError(
-            f"state-space exploration exceeded {max_states}"
-            f" states (at {max_states + 1})"
-        )
-    assert node_span & (node_span - 1) == 0, "node_span must be 2**b"
-    span_bits = node_span.bit_length() - 1
-
-    def rerun_traced():
-        t0 = perf_counter()
-        out = _product_dfa_packed_traced(
-            row_fn,
-            init,
-            spec_rows,
-            node_span=node_span,
-            row_map=row_map,
-            max_states=max_states,
-        )
-        if profile is not None:
-            profile["trace_rerun_s"] = (
-                profile.get("trace_rerun_s", 0.0) + perf_counter() - t0
-            )
-        return out
-
-    if dense is not None and max_states is None and not dense.disabled:
-        if dense.built and dense.matches_init(init):
-            violated, pairs, states_seen, _spec_seen = dense.run()
-            if not violated:
-                return True, None, pairs, states_seen
-            return rerun_traced()
-        if pair_sharder is None and prefetch is None:
-            res = _product_dfa_packed_dense(
-                row_fn,
-                init,
-                spec_rows,
-                node_span=node_span,
-                row_map=row_map,
-                dense=dense,
-            )
-            if res is not None:
-                return res
-            return rerun_traced()
-    if pair_sharder is not None and max_states is None:
-        violated, pairs, states_seen, _spec_seen = _sharded_pair_bfs(
-            pair_sharder, pair_sharder.stable_pairs(init), span_bits
-        )
-        if not violated:
-            return True, None, pairs, states_seen
-        return rerun_traced()
-    discovered = set(init)
-    expanded = set()
-    rows_get = (row_map or {}).get
-    span_mask = node_span - 1
-
-    seen = set(init)
-    order = list(init)
-    add = seen.add
-    append = order.append
-    i = 0
-    if prefetch is not None:
-        prefetch([p & span_mask for p in order])
-        boundary = len(order)
-    else:
-        boundary = -1
-    while i < len(order):
-        if i == boundary:  # see the level note in product_dfa_direct
-            prefetch([p & span_mask for p in order[i:]])
-            boundary = len(order)
-        pair = order[i]
-        i += 1
-        nq = pair & span_mask
-        dq = pair >> span_bits
-        row = rows_get(nq)
-        if row is None:
-            row = row_fn(nq)
-        if nq not in expanded:
-            expanded.add(nq)
-            _discover_row_ids(row, discovered, max_states)
-        brow = spec_rows[dq]
-        for symbol, succs in row:
-            if symbol < 0:  # ε: advance the TM component only
-                base = pair - nq
-            else:
-                dsucc = brow[symbol]
-                if dsucc < 0:  # sink: rerun traced for the word
-                    return rerun_traced()
-                base = dsucc << span_bits
-            if type(succs) is int:  # singleton group (the common case)
-                nxt = base + succs
-                if nxt not in seen:
-                    add(nxt)
-                    append(nxt)
-            else:
-                for s in succs:
-                    nxt = base + s
-                    if nxt not in seen:
-                        add(nxt)
-                        append(nxt)
-    return True, None, len(seen), len(discovered)
-
-
-def _product_dfa_packed_traced(
-    row_fn: RowFn,
-    init: List[int],
-    spec_rows: Sequence[Sequence[int]],
-    *,
-    node_span: int,
-    row_map: Optional[Dict[int, Tuple]],
-    max_states: Optional[int],
-):
-    """The parent-map twin of :func:`product_dfa_packed` (see
-    :func:`_product_oracle_packed_traced`)."""
-    discovered = set(init)
-    expanded = set()
-    rows_get = (row_map or {}).get
-    span_bits = node_span.bit_length() - 1
-    span_mask = node_span - 1
-
-    parent: ParentMap = {pair: None for pair in init}
-    queue = deque(init)
-    pop = queue.popleft
-    push = queue.append
-    while queue:
-        pair = pop()
-        nq = pair & span_mask
-        dq = pair >> span_bits
-        row = rows_get(nq)
-        if row is None:
-            row = row_fn(nq)
-        if nq not in expanded:
-            expanded.add(nq)
-            _discover_row_ids(row, discovered, max_states)
-        brow = spec_rows[dq]
-        for symbol, succs in row:
-            if symbol < 0:  # ε: advance the TM component only
-                base = pair - nq
-                label = None
-            else:
-                dsucc = brow[symbol]
-                if dsucc < 0:  # sink
-                    word = reconstruct(parent, pair) + (symbol,)
-                    return False, word, len(parent), len(discovered)
-                base = dsucc << span_bits
-                label = symbol
-            for succ in (succs,) if type(succs) is int else succs:
-                nxt = base + succ
-                if nxt not in parent:
-                    parent[nxt] = (pair, label)
-                    push(nxt)
-    raise AssertionError(
-        "traced rerun found no violation after the untraced pass did"
-    )
-
-
-def _product_dfa_packed_dense(
-    row_fn: RowFn,
-    init: List[int],
-    spec_rows: Sequence[Sequence[int]],
-    *,
-    node_span: int,
-    row_map: Optional[Dict[int, Tuple]],
-    dense: DenseCSR,
-):
-    """:func:`_product_oracle_packed_dense` for the DFA-sided product
-    (complete int-indexed spec delta, no oracle fill).  Its twin's
-    mirroring NOTE applies: keep the two builders in lockstep."""
-    rows_get = (row_map or {}).get
-    span_bits = node_span.bit_length() - 1
-    span_mask = node_span - 1
-
-    ids: Dict[int, int] = {}
-    order: List[int] = []
-    # Same typed-width choice as the oracle-sided twin.
-    node_keys = array("i" if span_bits < 32 else "q")
-    spec_ids = array("i")
-    offsets = array("i", (0,))
-    targets = array("i")
-    tappend = targets.append
-    for p in init:
-        ids[p] = len(order)
-        order.append(p)
-        node_keys.append(p & span_mask)
-        spec_ids.append(0)
-    recording = True
-    violated_at = -1
-    i = 0
-    while i < len(order):
-        pair = order[i]
-        nq = pair & span_mask
-        dq = pair >> span_bits
-        row = rows_get(nq)
-        if row is None:
-            row = row_fn(nq)
-        brow = spec_rows[dq]
-        for symbol, succs in row:
-            if symbol < 0:  # ε: advance the TM component only
-                base = pair - nq
-                sbase = dq
-            else:
-                dsucc = brow[symbol]
-                if dsucc < 0:  # sink
-                    violated_at = i
-                    break
-                base = dsucc << span_bits
-                sbase = dsucc
-            for s in (succs,) if type(succs) is int else succs:
-                nxt = base + s
-                sid = ids.get(nxt)
-                if sid is None:
-                    sid = ids[nxt] = len(order)
-                    order.append(nxt)
-                    if recording:
-                        node_keys.append(s)
-                        spec_ids.append(sbase)
-                if recording:
-                    tappend(sid)
-        if violated_at >= 0:
-            break
-        if recording and len(targets) > DENSE_MAX_EDGES:
-            recording = False
-            node_keys = spec_ids = offsets = targets = None
-            dense.reset()
-            dense.disabled = True
-        if recording:
-            offsets.append(len(targets))
-        i += 1
-    if recording:
-        npairs = len(order)
-        if violated_at >= 0:
-            offsets.append(len(targets))
-            offsets.extend([len(targets)] * (npairs + 1 - len(offsets)))
-        dense.node_keys = node_keys
-        dense.spec_ids = spec_ids
-        dense.offsets = offsets
-        dense.targets = targets
-        dense.flags = (violated_at,) if violated_at >= 0 else ()
-        dense.num_init = len(init)
-        dense.complete = violated_at < 0
-        dense.stable_keys = False
-        dense._dirty = True
-    if violated_at >= 0:
-        return None
-    if recording:
-        states_seen = len(set(node_keys))
-    else:
-        states_seen = len({p & span_mask for p in ids})
-    return True, None, len(order), states_seen
 
 
 def _run_product_dfa(left, initial: List[Hashable], dfa: DFA):

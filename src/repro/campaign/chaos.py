@@ -69,7 +69,7 @@ PLANES = ("storage", "journal", "wire")
 
 #: The sites each plane owns (classifies externally supplied schedules).
 PLANE_SITES: Dict[str, Tuple[str, ...]] = {
-    "storage": ("cache.save", "cache.load", "pool.dispatch"),
+    "storage": ("cache.save", "cache.load"),
     "journal": ("journal.append", "journal.fsync"),
     "wire": ("serve.send", "serve.recv"),
 }

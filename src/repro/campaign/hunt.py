@@ -76,7 +76,7 @@ def tm_expectation(name: str) -> bool:
             return mutant_expectation(name)
         except ValueError as exc:
             raise CampaignSpecError(f"hunt spec: {exc}")
-    from ..cli import TM_FACTORIES
+    from ..tm.registry import TM_FACTORIES
 
     _require(
         name.lower() in TM_FACTORIES,

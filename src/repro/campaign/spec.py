@@ -51,14 +51,10 @@ POLICY_DEFAULTS: Dict[str, object] = {
     "backoff_s": 0.1,
     "backoff_cap_s": 30.0,
     "memory_mb": None,
-    "jobs": 1,
-    "shard_product": True,
-    "chunk_size": None,
     "cache_dir": None,
     "cache_backend": "disk",
     "lazy_spec": False,
     "compiled": True,
-    "spec_compiled": True,
     "dense_kernel": None,
     "max_states": None,
     "manager": None,
@@ -78,9 +74,7 @@ _CELL_ONLY_KEYS = frozenset(["tm", "property", "n", "k"])
 
 
 def _known_names():
-    # Imported late: repro.cli imports the campaign package lazily
-    # inside its command functions, so this back-reference is safe.
-    from ..cli import MANAGERS, PROPERTIES, TM_FACTORIES
+    from ..tm.registry import MANAGERS, PROPERTIES, TM_FACTORIES
 
     return TM_FACTORIES, PROPERTIES, MANAGERS
 
@@ -116,16 +110,13 @@ def _check_policy(policy: Dict[str, object], where: str) -> None:
             and value > 0,
             f"{where}: timeout_s must be a positive number",
         )
-    for key in ("retries", "jobs"):
-        if key in policy and policy[key] is not None:
-            value = policy[key]
-            _require(
-                isinstance(value, int) and not isinstance(value, bool)
-                and value >= (0 if key == "retries" else 1),
-                f"{where}: {key} must be a non-negative integer"
-                if key == "retries"
-                else f"{where}: {key} must be a positive integer",
-            )
+    if "retries" in policy and policy["retries"] is not None:
+        value = policy["retries"]
+        _require(
+            isinstance(value, int) and not isinstance(value, bool)
+            and value >= 0,
+            f"{where}: retries must be a non-negative integer",
+        )
     if "backoff_s" in policy:
         value = policy["backoff_s"]
         _require(
@@ -140,7 +131,7 @@ def _check_policy(policy: Dict[str, object], where: str) -> None:
             and value > 0,
             f"{where}: backoff_cap_s must be a positive number",
         )
-    for key in ("memory_mb", "max_states", "chunk_size"):
+    for key in ("memory_mb", "max_states"):
         if key in policy and policy[key] is not None:
             value = policy[key]
             _require(
@@ -155,10 +146,7 @@ def _check_policy(policy: Dict[str, object], where: str) -> None:
             and value >= 0,
             f"{where}: retry_seed must be a non-negative integer or null",
         )
-    for key in (
-        "shard_product", "lazy_spec", "compiled", "spec_compiled",
-        "profile",
-    ):
+    for key in ("lazy_spec", "compiled", "profile"):
         if key in policy:
             _require(
                 isinstance(policy[key], bool),

@@ -1,20 +1,17 @@
 """Per-cell supervision: isolate, bound, retry, degrade.
 
-Each campaign cell runs ``check_safety`` in its own subprocess: a hang
-(e.g. a pool worker SIGKILLed mid-``map``, which ``multiprocessing``
-silently swallows), an OOM kill, or a crash takes down only the child,
-and the supervisor's wall clock is the one bound that covers *every*
-failure shape.  The child reports back over a pipe; the parent waits
+Each campaign cell runs ``check_safety`` in its own subprocess: a hang,
+an OOM kill, or a crash takes down only the child, and the supervisor's
+wall clock is the one bound that covers *every* failure shape.  The child reports back over a pipe; the parent waits
 with ``poll(timeout)`` **before** joining (join-first deadlocks when
 the result exceeds the pipe buffer).
 
 Retry policy: a faulted attempt (timeout, crash, memory, exception) is
 retried up to ``retries`` times with exponential backoff, degrading the
-configuration monotonically first — ``jobs>1`` falls back to serial,
-then a warm ``cache_dir`` falls back to cold — so a fault in the
-sharding or cache layer cannot fail a cell that the plain serial path
-can finish.  Degradation never changes verdicts: sharding and warm
-starts are optimization-only (the repo-wide byte-identical contract).
+configuration first — a warm ``cache_dir`` falls back to cold — so a
+fault in the cache layer cannot fail a cell that the plain cold path
+can finish.  Degradation never changes verdicts: warm starts are
+optimization-only (the repo-wide byte-identical contract).
 A cell whose every attempt faults is recorded as ``timeout``/``error``
 without aborting the campaign.
 
@@ -139,10 +136,10 @@ def _run_check(
     when the cell asked for one (``profile: true``).
     """
     from ..checking import check_safety
-    from ..cli import PROPERTIES, _make_tm
+    from ..tm.registry import PROPERTIES, make_tm
     from ..core.statements import format_word
 
-    tm = _make_tm(
+    tm = make_tm(
         cell["tm"], cell["n"], cell["k"], cell.get("manager")
     )
     profile: Optional[Dict[str, float]] = (
@@ -153,11 +150,7 @@ def _run_check(
         PROPERTIES[cell["property"]],
         lazy_spec=bool(cell.get("lazy_spec")),
         compiled=bool(cell.get("compiled", True)),
-        spec_compiled=bool(cell.get("spec_compiled", True)),
         dense_kernel=cell.get("dense_kernel"),
-        jobs=int(cell.get("jobs") or 1),
-        shard_product=bool(cell.get("shard_product", True)),
-        chunk_size=cell.get("chunk_size"),
         cache_dir=_resolve_cell_cache(cell, cache),
         max_states=cell.get("max_states"),
         profile=profile,
@@ -246,9 +239,6 @@ def _cell_worker(
 
 def _degrade(cell: Dict[str, object]) -> Optional[str]:
     """Mutate ``cell`` one rung down the ladder; name the rung taken."""
-    if int(cell.get("jobs") or 1) > 1:
-        cell["jobs"] = 1
-        return "serial"
     if cell.get("cache_dir"):
         cell["cache_dir"] = None
         return "cold"

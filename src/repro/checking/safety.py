@@ -37,19 +37,20 @@ from ..cache import CacheLike
 from ..automata.kernel import (
     lazy_product_dfa,
     lazy_product_oracle,
-    product_dfa_direct,
-    product_dfa_packed,
-    product_oracle_direct,
-    product_oracle_packed,
+    product_packed,
 )
 from ..core.properties import is_opaque, is_strictly_serializable
 from ..core.statements import Statement
-from ..spec.build import cached_det_spec
-from ..spec.compiled import cached_spec_dfa, cached_spec_oracle
+from ..spec.build import cached_det_spec, interned_spec_rows
+from ..spec.compiled import (
+    cached_spec_dfa,
+    cached_spec_oracle,
+    statement_table,
+)
 from ..spec.common import OP, SS, SafetyProperty
 from ..spec.det import det_step, initial_state as det_initial_state
 from ..tm.algorithm import TMAlgorithm
-from ..tm.compiled import PoolCrashError, compile_tm
+from ..tm.compiled import compile_tm
 from ..tm.explore import build_safety_nfa, initial_node, safety_step
 from .reporting import SafetyResult
 
@@ -118,78 +119,20 @@ def _dense_for(engine, side, prop, dense_kernel, cache_dir, max_states):
     return csr if csr is not None and csr.built else None
 
 
-def _run_sharded_product(run, shard, prop, shard_product):
-    """Dispatch one packed-product BFS, degrading to serial on a dead
-    pool.
-
-    ``run(prefetch, pair_sharder)`` performs the BFS with the given
-    sharding hooks.  If the pool dies beyond revival mid-BFS
-    (:class:`~repro.tm.compiled.PoolCrashError` out of the pair
-    sharder's level dispatch), the product is simply rerun with both
-    hooks disabled: a failed ``map`` merges nothing into the parent, and
-    sharding is optimization-only, so the serial rerun is byte-identical
-    to what the sharded run would have produced (the rerun reuses the
-    rows already memoized — warm memo tables never change results).
-    """
-    pair_sharder = (
-        shard.pair_sharder(prop)
-        if shard is not None and shard_product
-        else None
-    )
-    prefetch = None if shard is None else shard.prefetch_safety
-    try:
-        return run(prefetch, pair_sharder)
-    except PoolCrashError:
-        return run(None, None)
-
-
 @contextmanager
-def _warm_sharded(
-    engine,
-    oracle,
-    cache_dir,
-    jobs: int,
-    *,
-    dense=None,
-    chunk_size: Optional[int] = None,
-    reuse_pool: bool = False,
-):
-    """Shared scaffolding of the compiled branches: warm-load the
-    engine(s) from ``cache_dir``, open the sharding pool, yield the
-    :class:`~repro.tm.compiled.Sharder` (``None`` when serial), spill on
-    exit.  ``oracle`` is any second engine with the ``load_warm``/
-    ``save_warm`` contract (the compiled spec oracle or the int-rows
-    spec DFA), or ``None``; ``dense`` likewise covers the dense-kernel
-    CSR table (:class:`repro.automata.kernel.DenseCSR`), whose restored
-    payload lets the product run array-only, without ever touching the
-    row memos.  The cache dir is handed to the pool too so workers
-    warm-start their own engines; note a product-sharded run computes
-    its rows *in* the workers, whose tables die with the pool — it reads
-    the row cache but never populates it.  ``chunk_size``/``reuse_pool``
-    pass through to :meth:`repro.tm.compiled.CompiledTM.sharded`.
-
-    When the dense table is already recorded (in-process or just
-    restored), the product will replay as the array-only BFS and never
-    dispatch to a pool — so none is opened: a warm dense run must not
-    pay ``jobs`` process spawns for nothing."""
-    if cache_dir is not None:
-        engine.load_warm(cache_dir)
-        if oracle is not None:
-            oracle.load_warm(cache_dir)
-        if dense is not None:
-            dense.load_warm(cache_dir)
-    if dense is not None and dense.built:
-        jobs = 1
-    with engine.sharded(
-        jobs, cache_dir, chunk_size=chunk_size, reuse_pool=reuse_pool
-    ) as shard:
-        yield shard
-    if cache_dir is not None:
-        engine.save_warm(cache_dir)
-        if oracle is not None:
-            oracle.save_warm(cache_dir)
-        if dense is not None:
-            dense.save_warm(cache_dir)
+def _warm(cache_dir, *tables):
+    """Warm-load every table (anything with the ``load_warm``/
+    ``save_warm`` contract: the compiled TM engine, a compiled spec
+    side, the dense kernel's CSR table; ``None`` entries are skipped)
+    from ``cache_dir`` before the product runs, and spill them after.
+    A restored dense table lets the product run array-only, without
+    ever touching the row memos.  Nothing happens without a cache."""
+    live = [] if cache_dir is None else [t for t in tables if t]
+    for table in live:
+        table.load_warm(cache_dir)
+    yield
+    for table in live:
+        table.save_warm(cache_dir)
 
 
 def check_safety(
@@ -201,12 +144,7 @@ def check_safety(
     materialize: bool = False,
     lazy_spec: bool = False,
     compiled: bool = True,
-    spec_compiled: bool = True,
     dense_kernel: Optional[bool] = None,
-    jobs: int = 1,
-    shard_product: bool = True,
-    chunk_size: Optional[int] = None,
-    reuse_pool: bool = False,
     cache_dir: "CacheLike" = None,
     max_states: Optional[int] = None,
     profile: Optional[Dict[str, float]] = None,
@@ -224,86 +162,60 @@ def check_safety(
     specification is astronomically large.  ``max_states`` bounds the
     TM state exploration either way.
 
-    By default the lazy paths run on the **compiled engine**
-    (:mod:`repro.tm.compiled`): packed-int TM states with memoized
-    transition rows stream into the product kernel.  ``compiled=False``
-    keeps the naive tuple-of-frozensets streaming as the differential
-    reference; verdicts, counterexamples and all reported counts are
-    byte-identical between the two.  ``materialize=True`` always takes
-    the naive two-phase path.
+    There are three paths:
 
-    On the compiled ``lazy_spec`` path the specification side runs on
-    the **compiled spec oracle** (:mod:`repro.spec.compiled`): packed-int
-    spec states with process-wide memoized rows, queried by integer
-    statement id — the product BFS is int-to-int on both sides.
-    ``spec_compiled=False`` keeps the rich ``det_step`` oracle (the PR 2
-    engine) as the differential reference for that path.  On the
-    *materialized-spec* path (``lazy_spec=False``) the same flag selects
-    the **int-rows spec DFA** (:class:`repro.spec.compiled.
-    CompiledSpecDFA`): the canonical specification's delta re-indexed by
-    integer statement id at build time, so the DFA-sided product hashes
-    no Statement either; ``spec_compiled=False`` keeps the
-    Statement-keyed delta as the differential reference.  A caller-
-    provided ``spec`` always takes the Statement path (arbitrary DFAs
-    have no canonical id table).
+    * ``materialize=True`` — the paper's two-phase path: build the
+      safety NFA, then decide inclusion in the spec DFA;
+    * ``compiled=False`` — the naive reference: tuple-of-frozensets TM
+      states streamed into the product against the rich spec DFA (or,
+      with ``lazy_spec``, the rich ``det_step`` oracle);
+    * the default — one packed product
+      (:func:`repro.automata.kernel.product_packed`) over the compiled
+      TM engine (:mod:`repro.tm.compiled`) and an int-indexed spec
+      table: the compiled spec oracle with ``lazy_spec``
+      (:class:`repro.spec.compiled.CompiledSpecOracle`, rows filled on
+      demand), the int-rows canonical DFA otherwise
+      (:class:`repro.spec.compiled.CompiledSpecDFA`, every row filled),
+      or a caller-provided ``spec`` re-indexed by statement id
+      (:func:`repro.spec.build.interned_spec_rows`).
 
-    ``jobs > 1`` shards work across a ``multiprocessing`` pool.  By
-    default (``shard_product=True``) the **product BFS itself** is
-    sharded on the all-int paths: pair frontiers are hash-partitioned by
-    ``pair % jobs``, workers rebuild both engines from the spawn seed
-    and exchange cross-shard successors between level barriers, and the
-    parent merges seen-sets deterministically (see
-    :func:`repro.automata.kernel._sharded_pair_bfs` for the determinism
-    argument).  ``shard_product=False`` — and every configuration the
-    pair sharder cannot serve: ``max_states`` bounds, rich-oracle paths,
-    caller-provided specs, codec-less TMs — falls back to sharding only
-    the computation of new TM transition rows at BFS level boundaries
-    (see :meth:`repro.tm.compiled.CompiledTM.expand`).  Either way
-    verdicts, counterexamples and all counts are byte-identical to
-    ``jobs=1``.
+    Verdicts, counterexamples and all reported counts are byte-identical
+    between the three.
 
-    On the all-int paths the **dense kernel** records the product's
-    adjacency into a flat CSR table over dense pair ids on the first
-    serial untraced pass (:class:`repro.automata.kernel.DenseCSR`, kept
-    on the engine and — with ``cache_dir`` — persisted), and every
-    later run of the same product replays as an array-only bitset BFS
-    that never touches the row memos.  ``dense_kernel`` is tri-state:
-    the default ``None`` auto-gates — recording engages only when a
-    cache is set or the engine already holds a recorded table, so a
-    one-shot cold run skips the 15-35% recording overhead;
-    ``dense_kernel=True`` (CLI ``--dense-kernel``) forces recording
-    even without a cache; ``False`` (CLI ``--no-dense-kernel``) keeps
-    the set-based pair loop as the differential reference.  Verdicts,
-    counterexamples and all counts are byte-identical in every mode.
-    Bounded (``max_states``), codec-less and caller-spec configurations
-    ignore the flag and stay on the set-based path.
-
-    ``chunk_size`` fixes the row-prefetcher's per-task batch and
-    ``reuse_pool=True`` parks the worker pool on the engine across
-    checks (call ``compile_tm(tm).close_pools()`` when done) — both are
-    scheduling-only knobs with byte-identical results.
+    On the canonical compiled paths the **dense kernel** records the
+    product's adjacency into a flat CSR table over dense pair ids on the
+    first untraced pass (:class:`repro.automata.kernel.DenseCSR`, kept
+    on the engine and — with ``cache_dir`` — persisted), and every later
+    run of the same product replays as an array-only bitset BFS that
+    never touches the row memos.  ``dense_kernel`` is tri-state: the
+    default ``None`` auto-gates — recording engages only when a cache is
+    set or the engine already holds a recorded table, so a one-shot cold
+    run skips the 15-35% recording overhead; ``dense_kernel=True`` (CLI
+    ``--dense-kernel``) forces recording even without a cache; ``False``
+    (CLI ``--no-dense-kernel``) keeps the set-based pair loop as the
+    differential reference.  Bounded (``max_states``), codec-less and
+    caller-spec configurations ignore the flag and stay on the
+    set-based path.
 
     ``cache_dir`` enables the warm-start cache (:mod:`repro.cache`): a
     directory string selects the pickle-on-disk backend, and any
     :class:`repro.cache.CacheBackend` instance (e.g. the zero-copy mmap
     backend, CLI ``--cache-backend mmap``) is used as given.  Interned
-    tables and memoized rows of both compiled engines — and the dense
+    tables and memoized rows of the compiled engines — and the dense
     kernel's CSR tables — are restored before the check and spilled
     after, so repeated process invocations skip re-compilation
-    entirely.  With ``jobs > 1`` the cache dir also
-    warm-starts the *worker* engines; note that a product-sharded run
-    computes new rows in the workers (whose tables die with the pool),
-    so it reads the row cache but never grows it — populate the cache
-    with a serial or ``shard_product=False`` run first.
+    entirely.  A caller-provided ``spec`` is not the canonical one, so
+    nothing derived from it is cached: only the TM engine's rows (which
+    do not depend on the spec) warm-start.
 
     ``profile``, when given an (empty) dict, is filled with a per-phase
     wall-time split: ``engine_build_s`` (compilation, warm loads, spec
     table construction), ``row_discovery_s`` (time inside TM row-memo
     misses), ``product_bfs_s`` (the pair loop proper) and
-    ``trace_rerun_s`` (the serial traced rerun after a violation).
-    Profiling wraps the row function, so it adds a little overhead but
-    changes no result; the CLI exposes it as ``--profile`` (JSON on
-    stderr) and the benchmarks record it per cell.
+    ``trace_rerun_s`` (the traced rerun after a violation).  Profiling
+    wraps the row function, so it adds a little overhead but changes no
+    result; the CLI exposes it as ``--profile`` (JSON on stderr) and the
+    benchmarks record it per cell.
 
     ``tm_states`` in the result is the number of TM states explored:
     when the inclusion holds it equals the full reachable state space
@@ -320,86 +232,20 @@ def check_safety(
             product_bfs_s=0.0,
             trace_rerun_s=0.0,
         )
-    if lazy_spec:
-        if materialize or spec is not None:
-            raise ValueError(
-                "lazy_spec streams the specification: it cannot be"
-                " combined with materialize=True or a prebuilt spec"
-            )
-        if compiled and spec_compiled:
-            engine = compile_tm(tm)
-            oracle = cached_spec_oracle(tm.n, tm.k, prop)
-            dense = _dense_for(
-                engine, "oracle", prop, dense_kernel, cache_dir, max_states
-            )
-            with _warm_sharded(
-                engine,
-                oracle,
-                cache_dir,
-                jobs,
-                dense=dense,
-                chunk_size=chunk_size,
-                reuse_pool=reuse_pool,
-            ) as shard:
-                # The memo dict must be picked up *after* the warm load
-                # above — load_warm rebinds it, and a stale reference
-                # would miss every restored row.
-                row_fn = engine.safety_row_ids
-                row_map = engine.safety_rows_map()
-                if profile is not None:
-                    row_fn = _timed_row_fn(row_fn, row_map, profile)
-                    row_map = None
-                    profile["engine_build_s"] = time.perf_counter() - t0
-                    t_product = time.perf_counter()
-                holds, ce_ids, discovered, tm_states, spec_states = (
-                    _run_sharded_product(
-                        lambda prefetch, pair_sharder: product_oracle_packed(
-                            row_fn,
-                            [engine.initial_node_packed()],
-                            oracle,
-                            node_span=engine.node_span,
-                            row_map=row_map,
-                            max_states=max_states,
-                            prefetch=prefetch,
-                            pair_sharder=pair_sharder,
-                            dense=dense,
-                            profile=profile,
-                        ),
-                        shard,
-                        prop,
-                        shard_product,
-                    )
-                )
-                if profile is not None:
-                    _close_profile(profile, t_product)
-            counterexample = (
-                None
-                if ce_ids is None
-                else tuple(oracle.symbols[s] for s in ce_ids)
-            )
-        elif compiled:
-            engine = compile_tm(tm)
-            with _warm_sharded(
-                engine,
-                None,
-                cache_dir,
-                jobs,
-                chunk_size=chunk_size,
-                reuse_pool=reuse_pool,
-            ) as shard:
-                holds, counterexample, discovered, tm_states, spec_states = (
-                    product_oracle_direct(
-                        engine.safety_row,
-                        [engine.initial_node_packed()],
-                        det_initial_state(tm.n),
-                        lambda state, stmt: det_step(state, stmt, prop),
-                        max_states=max_states,
-                        prefetch=(
-                            None if shard is None else shard.prefetch_safety
-                        ),
-                    )
-                )
-        else:
+    if lazy_spec and (materialize or spec is not None):
+        raise ValueError(
+            "lazy_spec streams the specification: it cannot be"
+            " combined with materialize=True or a prebuilt spec"
+        )
+    if materialize:
+        if spec is None:
+            spec = cached_det_spec(tm.n, tm.k, prop)
+        nfa = build_safety_nfa(tm, max_states=max_states)
+        result = check_inclusion_in_dfa(nfa, spec)
+        tm_states = nfa.num_states
+        spec_states = spec.num_states
+    elif not compiled:
+        if lazy_spec:
             holds, counterexample, discovered, tm_states, spec_states = (
                 lazy_product_oracle(
                     [initial_node(tm)],
@@ -409,121 +255,88 @@ def check_safety(
                     max_states=max_states,
                 )
             )
-        result = InclusionResult(
-            holds=holds,
-            counterexample=counterexample,
-            product_states=discovered,
-        )
-    else:
-        canonical_spec = spec is None
-        if not (canonical_spec and compiled and spec_compiled
-                and not materialize):
+        else:
             if spec is None:
                 spec = cached_det_spec(tm.n, tm.k, prop)
-            spec_states = spec.num_states
-        if materialize:
-            nfa = build_safety_nfa(tm, max_states=max_states)
-            result = check_inclusion_in_dfa(nfa, spec)
-            tm_states = nfa.num_states
-        elif compiled and spec_compiled and canonical_spec:
-            # The all-int DFA-sided product: int-rows spec delta, int
-            # statement ids, packed pairs — and, warm-started, no rich
-            # DFA is ever materialized.
-            engine = compile_tm(tm)
-            cdfa = cached_spec_dfa(tm.n, tm.k, prop)
-            dense = _dense_for(
-                engine, "dfa", prop, dense_kernel, cache_dir, max_states
-            )
-            with _warm_sharded(
-                engine,
-                cdfa,
-                cache_dir,
-                jobs,
-                dense=dense,
-                chunk_size=chunk_size,
-                reuse_pool=reuse_pool,
-            ) as shard:
-                cdfa.ensure()
-                # Post-warm-load pickup; see the oracle branch above.
-                row_fn = engine.safety_row_ids
-                row_map = engine.safety_rows_map()
-                if profile is not None:
-                    row_fn = _timed_row_fn(row_fn, row_map, profile)
-                    row_map = None
-                    profile["engine_build_s"] = time.perf_counter() - t0
-                    t_product = time.perf_counter()
-                holds, ce_ids, discovered, tm_states = _run_sharded_product(
-                    lambda prefetch, pair_sharder: product_dfa_packed(
-                        row_fn,
-                        [engine.initial_node_packed()],
-                        cdfa.rows,
-                        node_span=engine.node_span,
-                        row_map=row_map,
-                        max_states=max_states,
-                        prefetch=prefetch,
-                        pair_sharder=pair_sharder,
-                        dense=dense,
-                        profile=profile,
-                    ),
-                    shard,
-                    prop,
-                    shard_product,
-                )
-                if profile is not None:
-                    _close_profile(profile, t_product)
-            spec_states = cdfa.num_states
-            counterexample = (
-                None
-                if ce_ids is None
-                else tuple(cdfa.symbols[s] for s in ce_ids)
-            )
-            result = InclusionResult(
-                holds=holds,
-                counterexample=counterexample,
-                product_states=discovered,
-            )
-        elif compiled:
-            engine = compile_tm(tm)
-            with _warm_sharded(
-                engine,
-                None,
-                cache_dir,
-                jobs,
-                chunk_size=chunk_size,
-                reuse_pool=reuse_pool,
-            ) as shard:
-                holds, counterexample, discovered, tm_states = (
-                    product_dfa_direct(
-                        engine.safety_row,
-                        [engine.initial_node_packed()],
-                        spec,
-                        max_states=max_states,
-                        prefetch=(
-                            None if shard is None else shard.prefetch_safety
-                        ),
-                    )
-                )
-            result = InclusionResult(
-                holds=holds,
-                counterexample=counterexample,
-                product_states=discovered,
-            )
-        else:
             holds, counterexample, discovered, tm_states = lazy_product_dfa(
                 [initial_node(tm)],
                 safety_step(tm),
                 spec,
                 max_states=max_states,
             )
-            result = InclusionResult(
-                holds=holds,
-                counterexample=counterexample,
-                product_states=discovered,
+            spec_states = spec.num_states
+        result = InclusionResult(
+            holds=holds,
+            counterexample=counterexample,
+            product_states=discovered,
+        )
+    else:
+        engine = compile_tm(tm)
+        if lazy_spec:
+            side = cached_spec_oracle(tm.n, tm.k, prop)
+        elif spec is None:
+            side = cached_spec_dfa(tm.n, tm.k, prop)
+        else:
+            side = None
+        dense = (
+            None
+            if side is None
+            else _dense_for(
+                engine,
+                "oracle" if lazy_spec else "dfa",
+                prop,
+                dense_kernel,
+                cache_dir,
+                max_states,
             )
+        )
+        with _warm(cache_dir, engine, side, dense):
+            # Tables are picked up *after* the warm load above —
+            # load_warm rebinds them, and a stale reference would miss
+            # every restored row.
+            if lazy_spec:
+                spec_rows, fill = side.rows, side.fill
+            elif side is not None:
+                spec_rows, fill = side.ensure().rows, None
+            else:
+                spec_rows = interned_spec_rows(tm.n, tm.k, prop, spec=spec)
+                fill = None
+            row_fn = engine.safety_row_ids
+            row_map = engine.safety_rows_map()
+            if profile is not None:
+                row_fn = _timed_row_fn(row_fn, row_map, profile)
+                row_map = None
+                profile["engine_build_s"] = time.perf_counter() - t0
+                t_product = time.perf_counter()
+            holds, ce_ids, discovered, tm_states, spec_seen = product_packed(
+                row_fn,
+                [engine.initial_node_packed()],
+                spec_rows,
+                fill=fill,
+                node_span=engine.node_span,
+                row_map=row_map,
+                max_states=max_states,
+                dense=dense,
+                profile=profile,
+            )
+            if profile is not None:
+                _close_profile(profile, t_product)
+        # The oracle side reports the spec states the product discovered;
+        # a materialized table reports the whole automaton (one row per
+        # state, i.e. ``num_states`` of the DFA it was interned from).
+        spec_states = spec_seen if lazy_spec else len(spec_rows)
+        symbols = statement_table(tm.n, tm.k)
+        result = InclusionResult(
+            holds=holds,
+            counterexample=(
+                None if ce_ids is None else tuple(symbols[s] for s in ce_ids)
+            ),
+            product_states=discovered,
+        )
     elapsed = time.perf_counter() - t0
     if profile is not None and not any(profile.values()):
         # A branch without fine-grained instrumentation (materialized,
-        # naive, rich-oracle): report the whole check as the pair loop.
+        # naive): report the whole check as the pair loop.
         profile["product_bfs_s"] = elapsed
     if not result.holds and certify:
         assert result.counterexample is not None

@@ -52,43 +52,9 @@ from .checking import (
 from .core.properties import is_opaque, is_strictly_serializable
 from .core.statements import format_word, parse_word
 from .spec import OP, SS, cached_det_spec, cached_nondet_spec
-from .tm import (
-    DSTM,
-    TL2,
-    AggressiveManager,
-    BoundedKarmaManager,
-    ManagedTM,
-    ModifiedTL2,
-    NOrecTM,
-    OptimisticTM,
-    PermissiveManager,
-    PoliteManager,
-    SequentialTM,
-    TMAlgorithm,
-    TwoPhaseLockingTM,
-    build_liveness_graph,
-)
+from .tm import build_liveness_graph
+from .tm.registry import MANAGERS, PROPERTIES, TM_FACTORIES, make_tm
 from .tm.runs import parse_schedule, program, simulate
-
-TM_FACTORIES = {
-    "seq": SequentialTM,
-    "2pl": TwoPhaseLockingTM,
-    "dstm": DSTM,
-    "tl2": TL2,
-    "modtl2": ModifiedTL2,
-    "opt": OptimisticTM,
-    "norec": NOrecTM,
-}
-
-MANAGERS = {
-    "aggressive": AggressiveManager,
-    "polite": PoliteManager,
-    "permissive": PermissiveManager,
-    "karma": BoundedKarmaManager,
-}
-
-PROPERTIES = {"ss": SS, "op": OP}
-
 
 def _resolve_cache_dir(args: argparse.Namespace):
     """``--cache-dir [DIR]`` × ``--cache-backend NAME``.
@@ -111,39 +77,6 @@ def _resolve_cache_dir(args: argparse.Namespace):
     from .cache import make_backend
 
     return make_backend(backend, cache_dir)
-
-
-def _make_tm(
-    name: str, n: int, k: int, manager: Optional[str]
-) -> TMAlgorithm:
-    if "/" in name:  # mutant ids: tl2/drop-rvalidate[@seedN]
-        from .tm.mutate import make_mutant
-
-        try:
-            tm = make_mutant(name, n, k)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-    else:
-        try:
-            tm = TM_FACTORIES[name.lower()](n, k)
-        except KeyError:
-            raise SystemExit(
-                f"unknown TM {name!r}; choose from"
-                f" {sorted(TM_FACTORIES)}, 'all', or a mutant id"
-                " (see 'repro hunt --list')"
-            )
-    if manager is not None:
-        try:
-            cm_cls = MANAGERS[manager.lower()]
-        except KeyError:
-            raise SystemExit(
-                f"unknown manager {manager!r}; choose from {sorted(MANAGERS)}"
-            )
-        if cm_cls is BoundedKarmaManager:
-            tm = ManagedTM(tm, cm_cls(n))
-        else:
-            tm = ManagedTM(tm, cm_cls())
-    return tm
 
 
 # ----------------------------------------------------------------------
@@ -179,9 +112,10 @@ def cmd_safety(args: argparse.Namespace) -> int:
         [PROPERTIES[args.property]] if args.property else [SS, OP]
     )
     # Specifications are pulled from the process-wide caches inside
-    # check_safety (prebuilding them here would pin the Statement-keyed
-    # DFA path; passing spec=None lets the int-rows path — and its
-    # warm-start, which never materializes the rich DFA — kick in).
+    # check_safety (a prebuilt spec passed in would be treated as a
+    # caller's DFA: no dense table, no spec cache; spec=None keeps the
+    # canonical int-rows table and its warm start, which never
+    # materializes the rich DFA).
     names = (
         sorted(TM_FACTORIES) if args.tm.lower() == "all" else [args.tm]
     )
@@ -189,7 +123,7 @@ def cmd_safety(args: argparse.Namespace) -> int:
     worst = 0
     cache_dir = _resolve_cache_dir(args)
     for name in names:
-        tm = _make_tm(name, n, k, args.manager)
+        tm = make_tm(name, n, k, args.manager)
         cells = [tm.name]
         for p in props:
             prof: Optional[Dict[str, float]] = (
@@ -201,11 +135,7 @@ def cmd_safety(args: argparse.Namespace) -> int:
                 materialize=args.materialize,
                 lazy_spec=args.lazy_spec,
                 compiled=args.compiled,
-                spec_compiled=args.spec_compiled,
                 dense_kernel=args.dense_kernel,
-                jobs=args.jobs,
-                shard_product=args.shard_product,
-                chunk_size=args.chunk_size,
                 cache_dir=cache_dir,
                 profile=prof,
             )
@@ -243,9 +173,9 @@ def cmd_liveness(args: argparse.Namespace) -> int:
     worst = 0
     cache_dir = _resolve_cache_dir(args)
     for name in names:
-        tm = _make_tm(name, n, k, args.manager)
+        tm = make_tm(name, n, k, args.manager)
         graph = build_liveness_graph(
-            tm, compiled=args.compiled, jobs=args.jobs, cache_dir=cache_dir
+            tm, compiled=args.compiled, cache_dir=cache_dir
         )
         cells = [tm.name, str(len(graph.nodes))]
         for check in (
@@ -524,7 +454,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ("retries", args.retries),
         ("backoff_s", args.backoff_s),
         ("memory_mb", args.memory_mb),
-        ("jobs", args.serve_jobs),
     ):
         if value is not None:
             defaults[key] = value
@@ -581,7 +510,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    tm = _make_tm(args.tm, args.threads, args.vars, args.manager)
+    tm = make_tm(args.tm, args.threads, args.vars, args.manager)
     programs: Dict[int, tuple] = {}
     for spec in args.program or []:
         thread_text, _, prog_text = spec.partition(":")
@@ -642,33 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the compiled packed-state TM engine and stream"
         " naive tuple states (the differential reference path)",
     )
-    p_safety.add_argument(
-        "--no-compiled-spec",
-        dest="spec_compiled",
-        action="store_false",
-        help="with --lazy-spec, stream the specification through the"
-        " rich det_step oracle instead of the compiled packed-state"
-        " spec oracle (the differential reference path)",
-    )
-    p_safety.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="shard the product BFS itself (level-synchronized,"
-        " hash-partitioned pair frontiers) across this many worker"
-        " processes on the all-int paths, and TM transition-row"
-        " computation elsewhere (verdicts are byte-identical to"
-        " --jobs 1)",
-    )
-    p_safety.add_argument(
-        "--no-shard-product",
-        dest="shard_product",
-        action="store_false",
-        help="with --jobs N, shard only TM transition-row computation"
-        " instead of the product BFS itself (the PR 3 behaviour; a"
-        " differential reference for the sharded product)",
-    )
     dense_mode = p_safety.add_mutually_exclusive_group()
     dense_mode.add_argument(
         "--dense-kernel",
@@ -686,23 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the dense array-backed BFS kernel (CSR successor"
         " tables + bitset seen-sets) and keep the set-based pair loop"
         " (the differential reference path)",
-    )
-    def positive_int(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(
-                f"must be a positive integer (got {value})"
-            )
-        return value
-
-    p_safety.add_argument(
-        "--chunk-size",
-        type=positive_int,
-        default=None,
-        metavar="N",
-        help="with --jobs, fix the row-prefetcher's per-task batch to N"
-        " nodes (default: one even chunk per worker; scheduling-only,"
-        " results are identical)",
     )
     p_safety.add_argument(
         "--profile",
@@ -741,14 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="build the liveness graph with the naive explorer instead"
         " of the compiled packed-state engine",
-    )
-    p_live.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="shard liveness-graph construction across this many worker"
-        " processes (the graph is identical to --jobs 1)",
     )
     p_live.add_argument(
         "--cache-dir",
@@ -941,14 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MB",
         help="default per-request RSS cap",
-    )
-    server_group.add_argument(
-        "--jobs",
-        dest="serve_jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="default sharding for requests that don't set jobs",
     )
     server_group.add_argument(
         "--quiet",

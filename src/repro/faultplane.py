@@ -8,9 +8,8 @@ mid-response) were only ever exercised by hand-corrupting files in CI
 recipes.  This module makes those faults a **seeded, replayable input**:
 a validated JSON *fault schedule* drives a process-wide injector that
 the storage plane (:mod:`repro.cache`), the journal plane
-(:mod:`repro.campaign.journal`), the wire plane (:mod:`repro.serve`)
-and the pool dispatcher (:mod:`repro.tm.compiled`) consult at each
-instrumented site.
+(:mod:`repro.campaign.journal`) and the wire plane (:mod:`repro.serve`)
+consult at each instrumented site.
 
 A schedule looks like::
 
@@ -87,7 +86,6 @@ SITES = (
     "journal.fsync",
     "serve.send",
     "serve.recv",
-    "pool.dispatch",
 )
 
 #: Injectable fault kinds.
@@ -110,7 +108,6 @@ SITE_FAULTS: Dict[str, tuple] = {
     "journal.fsync": ("eio", "enospc", "drop_fsync", "stall_ms"),
     "serve.send": ("eio", "partial_send", "reset", "stall_ms"),
     "serve.recv": ("eio", "reset", "stall_ms"),
-    "pool.dispatch": ("eio", "stall_ms"),
 }
 
 _ERRNO = {"eio": _errno.EIO, "enospc": _errno.ENOSPC}

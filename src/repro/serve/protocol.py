@@ -6,7 +6,7 @@ AF_UNIX socket or TCP.  Requests are JSON objects with an ``op``:
 ``check`` (the default when ``op`` is omitted)
     A safety check: ``tm`` and ``property`` are required, ``n``/``k``
     and every campaign policy key (``timeout_s``, ``retries``,
-    ``jobs``, ``inject`` for fault drills, ...) are optional and
+    ``lazy_spec``, ``inject`` for fault drills, ...) are optional and
     validated with exactly the strictness of a campaign cell — a
     daemon request *is* a campaign cell, expanded by the same
     :func:`repro.campaign.spec.expand_cell`.  Two extras belong to the

@@ -14,7 +14,7 @@ in-flight check):
 * ``--workers`` **worker threads** pull admitted requests and run each
   through :func:`repro.campaign.supervisor.run_cell` — the same fault
   envelope as a campaign cell (wall-clock timeout, RSS cap, retry with
-  the sharded→serial / warm→cold degradation ladder), executing in a
+  the warm→cold degradation ladder), executing in a
   forked subprocess so a SIGKILLed, hung, or OOM'd check fails only
   its own request;
 * responses are written under a per-connection lock (a connection may

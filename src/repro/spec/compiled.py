@@ -37,8 +37,8 @@ compiles the spec side the same way the TM side was compiled:
 
 The packed stepper is *exact*: :func:`make_packed_step` mirrors
 :func:`~repro.spec.det.det_step` statement for statement (the packing is
-a bijection on states, pinned by ``tests/spec/test_spec_compiled.py``'s
-exhaustive differentials over the reachable state spaces), so the
+a bijection on states, pinned by exhaustive differentials over the
+reachable state spaces in ``tests/spec/``), so the
 product BFS over the compiled oracle is byte-identical to the rich path.
 """
 
@@ -386,9 +386,8 @@ class CompiledSpecOracle:
         return succ
 
     def intern_packed(self, packed: int) -> int:
-        """The dense id of a packed state handed in from outside — e.g.
-        a product pair shipped to a worker process by the sharded product
-        BFS, whose stable spec component *is* the packed state."""
+        """The dense id of a packed state, interning it (with a fresh
+        all-unqueried row) on first sight."""
         sid = self._ids.get(packed)
         if sid is None:
             sid = self._ids[packed] = len(self.states)
@@ -502,13 +501,15 @@ class CompiledSpecDFA:
     """The *materialized* deterministic spec, compiled to int rows.
 
     The DFA-sided safety product (``check_safety(lazy_spec=False)``)
-    used to hash a rich :class:`~repro.core.statements.Statement` per
-    transition against the spec DFA's delta dicts.  This class holds the
-    same automaton as a complete int-indexed table —
+    would otherwise hash a rich :class:`~repro.core.statements.Statement`
+    per transition against the spec DFA's delta dicts.  This class holds
+    the same automaton as a complete int-indexed table —
     ``rows[state][sym_id]`` is the successor index or :data:`SINK`,
     state 0 initial, symbol ids the canonical statement ids shared with
-    the compiled TM engine — which is exactly what
-    :func:`repro.automata.kernel.product_dfa_packed` consumes.
+    the compiled TM engine.  It is a :class:`CompiledSpecOracle` whose
+    rows are all filled in (same sink encoding, no :data:`UNQUERIED`
+    cell), so :func:`repro.automata.kernel.product_packed` consumes it
+    exactly like the oracle, and never needs to fill a row.
 
     The table is built on demand (:meth:`ensure`) from the memoized
     canonical specification via

@@ -38,10 +38,7 @@ tests in ``tests/tm/test_compiled.py``).
 
 from __future__ import annotations
 
-import atexit
-import weakref
 from array import array
-from contextlib import contextmanager
 from typing import (
     Callable,
     Dict,
@@ -63,42 +60,11 @@ from ..cache import (
     save_payload,
 )
 from ..core.statements import Command, Kind, Statement
-from ..faultplane import fault_check as _pool_fault_check
 from .algorithm import ABORT_EXT, Ext, Resp, TMAlgorithm, TMState, Transition
 
 #: Stable integer codes for :class:`Resp` in persisted node rows.
 _RESP_OF_CODE = (Resp.BOT, Resp.ABORT, Resp.DONE)
 _RESP_CODE = {resp: code for code, resp in enumerate(_RESP_OF_CODE)}
-
-
-class PoolCrashError(RuntimeError):
-    """A sharding pool died and could not be revived.
-
-    Raised by :class:`Sharder` after its one respawn-and-retry attempt
-    also fails (or when the pool is already known broken).  Callers that
-    have a serial path — :func:`repro.checking.safety.check_safety` does
-    — catch this and rerun serially; the optimization-only sharding
-    contract makes that rerun byte-identical.
-    """
-
-
-#: Engines holding parked ``reuse_pool`` pools, so an interpreter exit
-#: (or a forgotten :meth:`CompiledTM.close_pools`) still terminates the
-#: worker processes instead of leaking them.  Weak references: a parked
-#: pool must not keep its engine alive.
-_PARKED_ENGINES: "weakref.WeakSet" = weakref.WeakSet()
-_ATEXIT_REGISTERED = False
-
-
-def _close_parked_pools() -> None:
-    for engine in list(_PARKED_ENGINES):
-        try:
-            engine.close_pools()
-        except (OSError, ValueError):
-            # terminate/join on a pool whose workers already died raise
-            # OSError; multiprocessing reports an already-closed pool
-            # as ValueError.  Anything else is a real bug.
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -234,10 +200,10 @@ class CompiledTM:
         self._view_ids: Dict[Hashable, int] = {}
         self._views: List[Hashable] = []
         # Parallel tables over the *codec bit-packing* of each view: the
-        # process-stable encoding used to ship nodes to worker processes
-        # and to persist the intern table (dense ids are assigned in
-        # discovery order and so differ across processes; codec bits do
-        # not).  Unused on the fallback path.
+        # process-stable encoding used to persist the intern table and
+        # the dense tables (dense ids are assigned in discovery order and
+        # so differ across processes; codec bits do not).  Unused on the
+        # fallback path.
         self._view_bits: List[int] = []
         self._bits_ids: Dict[int, int] = {}
         # ``transitions`` may be overridden (e.g. ManagedTM); only the
@@ -263,12 +229,11 @@ class CompiledTM:
         self._warm_safety_rows = 0
 
         # The dense layer: per-(side, property) product CSR tables
-        # (:class:`repro.automata.kernel.DenseCSR`), the liveness node
-        # adjacency, and any reusable sharding pools.
+        # (:class:`repro.automata.kernel.DenseCSR`) and the liveness
+        # node adjacency.
         self._dense: Dict[Tuple[str, str], DenseCSR] = {}
         self._dense_adj: Optional[DenseAdjacency] = None
         self._adj_dirty = False
-        self._pools: Dict[Tuple[int, Optional[str]], object] = {}
 
         # Interned observable labels for the safety view, plus their
         # integer statement ids — the index into
@@ -530,25 +495,14 @@ class CompiledTM:
         return row
 
     def expand(
-        self,
-        frontier: Iterable[int],
-        sharder: "Optional[Sharder]" = None,
+        self, frontier: Iterable[int]
     ) -> List[Tuple[int, Tuple[NodeTransition, ...]]]:
-        """Batched successor computation: rows for a whole frontier.
-
-        With a :class:`Sharder` (from :meth:`sharded`), rows missing
-        from the memo tables are computed by the worker pool first; the
-        serial collection below then runs entirely on memo hits.  The
-        returned list is identical either way.
-        """
-        nodes = list(frontier)
-        if sharder is not None:
-            sharder.prefetch_nodes(nodes)
+        """Batched successor computation: rows for a whole frontier."""
         node_row = self.node_row
-        return [(node, node_row(node)) for node in nodes]
+        return [(node, node_row(node)) for node in frontier]
 
     # ------------------------------------------------------------------
-    # Process-stable node encoding (sharding and persistence)
+    # Process-stable node encoding (persistence)
     # ------------------------------------------------------------------
 
     def stable_of_node(self, packed_node: int) -> int:
@@ -556,9 +510,9 @@ class CompiledTM:
 
         Dense view ids depend on this engine's discovery order; the
         codec bit-packing of a view does not.  Stable node ints are
-        therefore meaningful across processes (workers re-derive the
-        codec from the algorithm seed) and across runs (the warm cache).
-        Only available for codec-backed engines.
+        therefore meaningful across processes and runs (the warm cache's
+        dense-CSR and dense-adjacency payloads persist them).  Only
+        available for codec-backed engines.
         """
         packed_state, packed_pending = divmod(packed_node, self._pend_span)
         width = self._codec.width  # type: ignore[union-attr]
@@ -574,8 +528,8 @@ class CompiledTM:
         """Inverse of :meth:`stable_of_node`, interning unseen views.
 
         New views are interned in thread-digit order, so translating a
-        merged result sequence interns views in exactly the order a
-        serial computation of the same rows would have.
+        persisted node sequence interns views in exactly the order a
+        fresh computation of the same rows would have.
         """
         stable_state, packed_pending = divmod(stable_node, self._pend_span)
         codec = self._codec
@@ -591,163 +545,6 @@ class CompiledTM:
                 vid = self._intern_view(codec.unpack(bits))
             packed_state |= vid << (width * i)
         return packed_state * self._pend_span + packed_pending
-
-    def expand_stable(
-        self, mode: str, stable_node: int
-    ) -> Tuple[int, tuple]:
-        """One worker-side expansion: row of a stable node, re-encoded
-        stably.  ``mode`` is ``"safety"`` (all-int safety rows) or
-        ``"node"`` (explorer transitions for the liveness/explore
-        views)."""
-        packed = self.node_of_stable(stable_node)
-        stable = self.stable_of_node
-        if mode == "safety":
-            return stable_node, tuple(
-                (
-                    sym,
-                    stable(succs)
-                    if type(succs) is int
-                    else tuple(stable(s) for s in succs),
-                )
-                for sym, succs in self.safety_row_ids(packed)
-            )
-        return stable_node, tuple(
-            (ti, ci, ext, resp, stable(succ))
-            for ti, ci, ext, resp, succ in self.node_row(packed)
-        )
-
-    def store_stable_row(
-        self, mode: str, packed_node: int, stable_row: tuple
-    ) -> None:
-        """Merge one worker-computed row into this engine's memo tables,
-        translating stable successor ids into (possibly new) dense ids."""
-        translate = self.node_of_stable
-        if mode == "safety":
-            self._safety_rows_ids[packed_node] = tuple(
-                (
-                    sym,
-                    translate(succs)
-                    if type(succs) is int
-                    else tuple(translate(s) for s in succs),
-                )
-                for sym, succs in stable_row
-            )
-        else:
-            self._node_rows[packed_node] = tuple(
-                (ti, ci, ext, resp, translate(succ))
-                for ti, ci, ext, resp, succ in stable_row
-            )
-        self._dirty = True
-
-    @contextmanager
-    def sharded(
-        self,
-        jobs: Optional[int],
-        cache_dir: Optional[str] = None,
-        *,
-        chunk_size: Optional[int] = None,
-        reuse_pool: bool = False,
-    ):
-        """A :class:`Sharder` running ``jobs`` worker processes, or
-        ``None`` when sharding is unavailable.
-
-        Yields ``None`` (callers fall back to the serial path, which is
-        always correct) when ``jobs`` is 1, the TM has no view codec
-        (fallback-interned states have no process-stable encoding), or
-        the algorithm cannot be re-derived from a picklable seed.  The
-        pool is torn down on exit.
-
-        ``cache_dir`` lets the *workers* warm-start their own engines
-        from the on-disk cache too (rows computed on the pool would
-        otherwise always start cold).  Worker memo tables die with the
-        pool — a sharded run never *writes* the row cache; populating
-        it is a serial (or row-sharded) run's job.
-
-        ``chunk_size`` fixes the per-task batch of the row prefetcher
-        (default: one even chunk per worker); ``reuse_pool=True`` parks
-        the pool on the engine keyed by ``(jobs, cache_dir)`` instead of
-        tearing it down, so repeated checks skip the spawn cost — call
-        :meth:`close_pools` when done.  Both knobs are scheduling-only:
-        results are byte-identical for every setting.
-        """
-        if jobs is None or jobs <= 1 or self._codec is None:
-            yield None
-            return
-        seed = _spawn_seed(self.tm)
-        if seed is None:
-            yield None
-            return
-        pool_key = (jobs, cache_dir)
-
-        def make_pool():
-            import multiprocessing
-
-            return multiprocessing.get_context().Pool(
-                jobs, initializer=_worker_init, initargs=(*seed, cache_dir)
-            )
-
-        pool = self._pools.get(pool_key) if reuse_pool else None
-        if pool is None:
-            pool = make_pool()
-            if reuse_pool:
-                self._park_pool(pool_key, pool)
-        sharder = Sharder(
-            self,
-            pool,
-            jobs,
-            chunk_size=chunk_size,
-            make_pool=make_pool,
-            pool_key=pool_key if reuse_pool else None,
-        )
-        try:
-            yield sharder
-        except BaseException:
-            if reuse_pool:
-                # Never leave a possibly-broken pool parked: the next
-                # reuse would inherit dead workers instead of spawning.
-                self._pools.pop(pool_key, None)
-            # The sharder may have respawned since entry; shut down
-            # whatever pool it currently holds (idempotent).
-            sharder.shutdown()
-            raise
-        finally:
-            if not reuse_pool:
-                sharder.shutdown()
-
-    def _park_pool(self, pool_key, pool) -> None:
-        """Park ``pool`` for reuse and arm the atexit sweeper so parked
-        workers never outlive the interpreter."""
-        global _ATEXIT_REGISTERED
-        self._pools[pool_key] = pool
-        _PARKED_ENGINES.add(self)
-        if not _ATEXIT_REGISTERED:
-            _ATEXIT_REGISTERED = True
-            atexit.register(_close_parked_pools)
-
-    def close_pools(self) -> None:
-        """Tear down any pools parked by ``sharded(reuse_pool=True)``."""
-        for pool in self._pools.values():
-            try:
-                pool.terminate()
-                pool.join()
-            except (OSError, ValueError):
-                # Dead workers (OSError) or an already-closed pool
-                # (ValueError) — both fine during teardown.
-                pass
-        self._pools.clear()
-
-    def __enter__(self) -> "CompiledTM":
-        """Scope parked pools to a ``with`` block::
-
-            with compile_tm(tm) as engine:
-                ...  # checks with reuse_pool=True park pools here
-            # workers terminated+joined on exit
-        """
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close_pools()
-        return False
 
     # ------------------------------------------------------------------
     # Checker-facing views
@@ -866,14 +663,14 @@ class CompiledTM:
         """The (lazily created) dense product table for one check
         configuration.
 
-        ``side`` names the product flavour (``"oracle"`` for the
-        lazy-spec packed product, ``"dfa"`` for the int-rows DFA-sided
-        one — their pair spaces are numbered differently, so they keep
-        separate tables) and ``prop`` the safety property.  Returns
+        ``side`` names the spec side of the packed product (``"oracle"``
+        for the lazy-spec compiled oracle, ``"dfa"`` for the int-rows
+        canonical DFA — their spec states are numbered differently, so
+        they keep separate tables) and ``prop`` the safety property.  Returns
         ``None`` for codec-less engines: without a process-stable node
         encoding the table could not be validated against — or persisted
         for — another process.  The table itself is recorded by the
-        kernel on the first serial untraced pass (see
+        kernel on the first untraced pass (see
         :class:`repro.automata.kernel.DenseCSR`).
         """
         if self._codec is None:
@@ -1294,366 +1091,6 @@ class CompiledTM:
         if ok:
             self._adj_dirty = False
         return ok
-
-
-# ----------------------------------------------------------------------
-# Sharded expansion across a multiprocessing pool
-# ----------------------------------------------------------------------
-#
-# Dense packed ids are engine-local (assigned in discovery order), so
-# nodes cross process boundaries in the codec-bits *stable* encoding:
-# workers re-derive the codec from the algorithm seed, translate stable
-# -> own-dense, compute rows with their own (persistent, memoizing)
-# engines, and ship rows back stably; the parent merges results in
-# deterministic frontier order, interning any still-unseen views.  All
-# observable outputs (verdicts, counterexamples, node orders, counts)
-# are invariant under dense-id relabeling, so sharded runs are
-# byte-identical to serial ones — pinned by tests/tm/test_parallel.py.
-
-_WORKER_ENGINE: Optional[CompiledTM] = None
-_WORKER_CACHE_DIR: Optional[str] = None
-_WORKER_WARMED_PROPS: set = set()
-
-
-def _worker_init(
-    tm_cls: type, args: tuple, cache_dir: Optional[str] = None
-) -> None:
-    global _WORKER_ENGINE, _WORKER_CACHE_DIR
-    _WORKER_ENGINE = CompiledTM(tm_cls(*args))
-    _WORKER_CACHE_DIR = cache_dir
-    _WORKER_WARMED_PROPS.clear()
-    if cache_dir is not None:
-        _WORKER_ENGINE.load_warm(cache_dir)
-
-
-def _worker_expand(task: Tuple[str, List[int]]) -> List[Tuple[int, tuple]]:
-    mode, stable_nodes = task
-    engine = _WORKER_ENGINE
-    assert engine is not None, "worker pool used before initialization"
-    expand_stable = engine.expand_stable
-    return [expand_stable(mode, sn) for sn in stable_nodes]
-
-
-def _worker_expand_pairs(task) -> Tuple[bool, Sequence[int]]:
-    """One shard of a sharded-product level: expand every stable pair.
-
-    A pair is ``spec_packed << span_bits | stable_node``; the worker
-    resolves both components against its own engines (the TM engine from
-    the pool seed, the spec oracle from ``cached_spec_oracle`` — both
-    memoizing, both persistent across levels) and returns the successor
-    pairs, deduplicated, back in stable encoding.  A SINK transition
-    aborts the shard immediately: the parent reruns the serial traced
-    path, so nothing beyond the violation flag matters.
-
-    The successor slice crosses the process boundary as a flat
-    ``array('q')`` — a CSR-style dense chunk that pickles as raw machine
-    words instead of a list of boxed ints — falling back to a plain list
-    on the (huge-instance) shards whose stable pairs overflow 64 bits.
-    The parent's merge iterates either container identically.
-    """
-    prop, span_bits, stable_pairs = task
-    engine = _WORKER_ENGINE
-    assert engine is not None, "worker pool used before initialization"
-    from ..spec.compiled import SINK, UNQUERIED, cached_spec_oracle
-
-    oracle = cached_spec_oracle(engine.n, engine.k, prop)
-    if _WORKER_CACHE_DIR is not None and prop not in _WORKER_WARMED_PROPS:
-        _WORKER_WARMED_PROPS.add(prop)  # one load attempt per pool life
-        oracle.load_warm(_WORKER_CACHE_DIR)
-    mask = (1 << span_bits) - 1
-    node_of_stable = engine.node_of_stable
-    stable_of_node = engine.stable_of_node
-    row_of = engine.safety_row_ids
-    orows = oracle.rows
-    states = oracle.states
-    ids_get = oracle._ids.get
-    intern = oracle.intern_packed
-    fill = oracle.fill
-    out: Dict[int, None] = {}  # dedup, insertion-ordered
-    for sp in stable_pairs:
-        stable_node = sp & mask
-        spec_packed = sp >> span_bits
-        row = row_of(node_of_stable(stable_node))
-        sid = ids_get(spec_packed)
-        if sid is None:
-            sid = intern(spec_packed)
-        brow = orows[sid]
-        for sym, succs in row:
-            if sym < 0:  # ε: advance the TM component only
-                base = spec_packed << span_bits
-            else:
-                dsucc = brow[sym]
-                if dsucc == UNQUERIED:
-                    dsucc = fill(sid, sym)
-                if dsucc == SINK:
-                    return True, []
-                base = states[dsucc] << span_bits
-            if type(succs) is int:
-                out[base | stable_of_node(succs)] = None
-            else:
-                for s in succs:
-                    out[base | stable_of_node(s)] = None
-    try:
-        return False, array("q", out)
-    except OverflowError:  # stable pairs beyond 64 bits: boxed fallback
-        return False, list(out)
-
-
-def _spawn_seed(tm: TMAlgorithm) -> Optional[Tuple[type, tuple]]:
-    """A picklable ``(class, ctor_args)`` seed re-deriving ``tm``, or
-    ``None`` when ``cls(n, k)`` cannot reconstruct this instance (e.g.
-    ManagedTM, which composes a manager, or a TM built with non-default
-    constructor options).  Reconstruction is *verified*: the clone's
-    attributes must equal the original's, engine/command caches aside."""
-    cls = type(tm)
-    try:
-        clone = cls(tm.n, tm.k)
-    except (TypeError, ValueError, AttributeError):
-        # The shapes a constructor probe legitimately fails with: a
-        # signature that needs more than (n, k) — directly (TypeError)
-        # or by duck-typing its arguments the way ManagedTM does
-        # (AttributeError) — or a validating __init__ rejecting the
-        # values (ValueError).  Anything else is a TM bug; surface it.
-        return None
-    ignore = {"_commands_cache", "_compiled_engine"}
-    mine = {a: v for a, v in tm.__dict__.items() if a not in ignore}
-    theirs = {a: v for a, v in clone.__dict__.items() if a not in ignore}
-    if mine != theirs:
-        return None
-    return cls, (tm.n, tm.k)
-
-
-class Sharder:
-    """Pool-backed row prefetcher for one :class:`CompiledTM`.
-
-    ``prefetch_safety`` / ``prefetch_nodes`` compute the rows missing
-    from the parent's memo tables for a batch of packed nodes (one BFS
-    level), sharded across the pool; subsequent per-node row calls are
-    then pure memo hits.  Prefetching is an optimization only — skipping
-    it (or prefetching more nodes than are later visited) never changes
-    any observable result.
-
-    Sharding only pays off on *cold* rows: once the memo tables are warm
-    (a repeated check, a disk-warmed engine) a level's rows are mostly
-    hits and the pickle/IPC round-trip is pure overhead.  The prefetcher
-    therefore short-circuits back to the serial path whenever the
-    *previous* level's memo hit rate reached :attr:`hot_hit_rate` —
-    verdict-neutral by the optimization-only contract above (pinned by
-    ``tests/tm/test_parallel.py``).
-    """
-
-    #: Previous-level memo hit rate at or above which the pool is
-    #: skipped and rows are computed serially on demand.
-    hot_hit_rate = 0.9
-
-    def __init__(
-        self,
-        engine: CompiledTM,
-        pool,
-        jobs: int,
-        *,
-        chunk_size: Optional[int] = None,
-        make_pool: Optional[Callable[[], object]] = None,
-        pool_key: Optional[tuple] = None,
-    ) -> None:
-        self.engine = engine
-        self.pool = pool
-        self.jobs = jobs
-        #: Respawn recipe for transient pool deaths; ``None`` disables
-        #: the retry (tests construct bare Sharders).
-        self.make_pool = make_pool
-        #: The engine parking slot when this pool is reused, so a
-        #: respawned pool replaces the dead parked one.
-        self.pool_key = pool_key
-        #: Set once the pool died and the respawn retry failed too;
-        #: every later dispatch raises :class:`PoolCrashError` upfront.
-        self.broken = False
-        self._closed = False
-        #: Fixed per-task batch size for the row prefetcher; ``None``
-        #: (or any value below 1, clamped here so a bad CLI flag cannot
-        #: starve the pool) splits each level into one even chunk per
-        #: worker.  A scheduling knob only — results are identical for
-        #: any value.
-        if chunk_size is not None and chunk_size < 1:
-            chunk_size = None
-        self.chunk_size = chunk_size
-        self._last_hit_rate: Optional[float] = None
-        #: Levels whose pool dispatch was skipped as row-warm (for
-        #: tests and benchmarks).
-        self.skipped_prefetches = 0
-
-    def pair_sharder(self, prop) -> "PairSharder":
-        """A kernel-facing sharded-product backend over this pool (see
-        :class:`PairSharder`); ``prop`` is the safety property whose
-        spec oracle the workers rebuild."""
-        return PairSharder(self, prop)
-
-    def shutdown(self) -> None:
-        """Terminate+join the current pool (idempotent, exception-safe).
-
-        Called by ``sharded()`` on scope exit and by the supervision
-        paths below; safe to call on an already-dead pool.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self.pool.terminate()
-            self.pool.join()
-        except (OSError, ValueError):
-            # Dead workers (OSError) or an already-closed pool
-            # (ValueError) — both fine during teardown.
-            pass
-
-    def _pool_map(self, func, tasks):
-        """``pool.map`` under supervision.
-
-        Worker tasks are stateless (each rebuilds its engine from the
-        spawn seed; per-worker memo tables are a cache), so a failed
-        level can be retried wholesale: on the first raising dispatch —
-        a crashed/OOM-killed worker surfacing as an exception, the
-        ``BrokenProcessPool`` shape — the pool is torn down, respawned
-        once, and the level re-dispatched.  A second failure marks the
-        sharder broken and raises :class:`PoolCrashError` for the
-        caller's serial fallback.  ``KeyboardInterrupt`` never retries:
-        workers are terminated+joined (no zombies) and the interrupt
-        re-raised.
-        """
-        if self.broken:
-            raise PoolCrashError("sharding pool is broken")
-        fault = _pool_fault_check(
-            "pool.dispatch", getattr(func, "__name__", "map")
-        )
-        try:
-            if fault is not None:
-                fault.stall()
-                fault.raise_io()  # eio → the crashed-dispatch path
-            return self.pool.map(func, tasks)
-        except KeyboardInterrupt:
-            if self.pool_key is not None:
-                self.engine._pools.pop(self.pool_key, None)
-            self.shutdown()
-            raise
-        except Exception as first:
-            self.shutdown()
-            if self.pool_key is not None:
-                self.engine._pools.pop(self.pool_key, None)
-            if self.make_pool is None:
-                self.broken = True
-                raise PoolCrashError(
-                    f"sharding pool failed: {first!r}"
-                ) from first
-            try:
-                self.pool = self.make_pool()
-                self._closed = False
-                if self.pool_key is not None:
-                    self.engine._park_pool(self.pool_key, self.pool)
-                retry_fault = _pool_fault_check(
-                    "pool.dispatch", getattr(func, "__name__", "map")
-                )
-                if retry_fault is not None:
-                    retry_fault.stall()
-                    retry_fault.raise_io()  # → PoolCrashError → serial
-                return self.pool.map(func, tasks)
-            except KeyboardInterrupt:
-                if self.pool_key is not None:
-                    self.engine._pools.pop(self.pool_key, None)
-                self.shutdown()
-                raise
-            except Exception as again:
-                if self.pool_key is not None:
-                    self.engine._pools.pop(self.pool_key, None)
-                self.shutdown()
-                self.broken = True
-                raise PoolCrashError(
-                    f"sharding pool failed twice: {again!r}"
-                ) from again
-
-    def _prefetch(self, mode: str, nodes: List[int], memo: Dict) -> None:
-        engine = self.engine
-        uniq = dict.fromkeys(nodes)
-        todo = [n for n in uniq if n not in memo]
-        hot = (
-            self._last_hit_rate is not None
-            and self._last_hit_rate >= self.hot_hit_rate
-        )
-        self._last_hit_rate = (
-            1.0 if not uniq else 1.0 - len(todo) / len(uniq)
-        )
-        if not todo:
-            return
-        if hot or self.broken:
-            # ``broken``: the pool died; prefetching is optimization-
-            # only, so degrade silently to on-demand serial rows.
-            self.skipped_prefetches += 1
-            return
-        stable = [engine.stable_of_node(n) for n in todo]
-        chunk = self.chunk_size or max(1, -(-len(stable) // self.jobs))
-        tasks = [
-            (mode, stable[i : i + chunk])
-            for i in range(0, len(stable), chunk)
-        ]
-        rows: Dict[int, tuple] = {}
-        try:
-            parts = self._pool_map(_worker_expand, tasks)
-        except PoolCrashError:
-            return  # rows stay cold; the serial path computes them
-        for part in parts:
-            for sn, row in part:
-                rows[sn] = row
-        store = engine.store_stable_row
-        for node, sn in zip(todo, stable):
-            store(mode, node, rows[sn])
-
-    def prefetch_safety(self, nodes: List[int]) -> None:
-        self._prefetch("safety", nodes, self.engine._safety_rows_ids)
-
-    def prefetch_nodes(self, nodes: List[int]) -> None:
-        self._prefetch("node", nodes, self.engine._node_rows)
-
-
-class PairSharder:
-    """Sharded *product BFS* backend over one :class:`Sharder`'s pool.
-
-    Implements the kernel's pair-sharder protocol
-    (:class:`repro.automata.kernel.PairSharder`): the kernel partitions
-    each pair frontier by ``pair % jobs`` and calls
-    :meth:`expand_pairs`; each shard becomes one pool task
-    (:func:`_worker_expand_pairs`), in which the worker expands the
-    pairs against its own seed-rebuilt TM engine and spec oracle.  Pairs
-    travel as ``spec_packed << span_bits | stable_node`` — both halves
-    process-independent: the spec component is the canonical packed
-    Algorithm 6 state, the node component the codec-bits stable
-    encoding.  The same backend serves the oracle-sided *and* the
-    DFA-sided packed products: the materialized specification is exactly
-    the reachable ``det_step`` graph, so workers stepping the compiled
-    oracle traverse the identical product (pinned by the conformance
-    matrix tests).
-    """
-
-    def __init__(self, sharder: Sharder, prop) -> None:
-        self.sharder = sharder
-        self.engine = sharder.engine
-        self.jobs = sharder.jobs
-        self.prop = prop
-        self.span_bits = sharder.engine.node_span.bit_length() - 1
-
-    def stable_pairs(self, packed_nodes: List[int]) -> List[int]:
-        """Initial pairs in stable encoding: the initial spec state
-        packs to 0, so these are the stable nodes themselves."""
-        stable = self.engine.stable_of_node
-        return [stable(p) for p in packed_nodes]
-
-    def expand_pairs(
-        self, shards: List[List[int]]
-    ) -> List[Tuple[bool, Sequence[int]]]:
-        """One pool task per shard, under :meth:`Sharder._pool_map`
-        supervision — a dead pool here surfaces as
-        :class:`PoolCrashError` mid-BFS, which ``check_safety`` answers
-        with a byte-identical serial rerun (a failed ``map`` merges
-        nothing into the parent, so no partial state leaks)."""
-        tasks = [(self.prop, self.span_bits, shard) for shard in shards]
-        return self.sharder._pool_map(_worker_expand_pairs, tasks)
 
 
 def compile_tm(tm: TMAlgorithm) -> CompiledTM:

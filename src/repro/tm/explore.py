@@ -91,62 +91,31 @@ def explore_packed(
     engine: CompiledTM,
     *,
     max_states: Optional[int] = None,
-    jobs: int = 1,
 ) -> List[int]:
     """All reachable packed nodes, BFS order from the initial node.
 
     The BFS mirrors the naive :func:`explore_nodes` exactly — compiled
     rows preserve the explorer's transition order, so decoding this list
-    reproduces the naive node order element for element.  ``jobs > 1``
-    computes each BFS level's new rows on a worker pool via
-    :meth:`CompiledTM.expand`; the traversal (and hence the returned
-    order) is identical.
+    reproduces the naive node order element for element.
     """
     init = engine.initial_node_packed()
     seen: Set[int] = {init}
     order: List[int] = [init]
-    with engine.sharded(jobs) as shard:
-        if shard is None:
-            node_row = engine.node_row
-            queue = deque([init])
-            while queue:
-                node = queue.popleft()
-                for entry in node_row(node):
-                    succ = entry[4]
-                    if succ not in seen:
-                        if (
-                            max_states is not None
-                            and len(seen) >= max_states
-                        ):
-                            raise RuntimeError(
-                                f"exploration exceeded {max_states} nodes"
-                                f" (at {len(seen) + 1})"
-                            )
-                        seen.add(succ)
-                        order.append(succ)
-                        queue.append(succ)
-        else:
-            # Level-synchronous twin: identical traversal order, with
-            # each level's new rows computed on the worker pool first.
-            frontier = [init]
-            while frontier:
-                nxt: List[int] = []
-                for _node, row in engine.expand(frontier, shard):
-                    for entry in row:
-                        succ = entry[4]
-                        if succ not in seen:
-                            if (
-                                max_states is not None
-                                and len(seen) >= max_states
-                            ):
-                                raise RuntimeError(
-                                    f"exploration exceeded {max_states}"
-                                    f" nodes (at {len(seen) + 1})"
-                                )
-                            seen.add(succ)
-                            order.append(succ)
-                            nxt.append(succ)
-                frontier = nxt
+    node_row = engine.node_row
+    queue = deque([init])
+    while queue:
+        node = queue.popleft()
+        for entry in node_row(node):
+            succ = entry[4]
+            if succ not in seen:
+                if max_states is not None and len(seen) >= max_states:
+                    raise RuntimeError(
+                        f"exploration exceeded {max_states} nodes"
+                        f" (at {len(seen) + 1})"
+                    )
+                seen.add(succ)
+                order.append(succ)
+                queue.append(succ)
     return order
 
 
@@ -155,16 +124,13 @@ def explore_nodes(
     *,
     max_states: Optional[int] = None,
     compiled: bool = True,
-    jobs: int = 1,
 ) -> List[Node]:
     """All reachable explorer nodes, BFS order from the initial node."""
     if compiled:
         engine = compile_tm(tm)
         decode = engine.decode_node
-        return [
-            decode(p)
-            for p in explore_packed(engine, max_states=max_states, jobs=jobs)
-        ]
+        packed = explore_packed(engine, max_states=max_states)
+        return [decode(p) for p in packed]
     init = initial_node(tm)
     seen: Set[Node] = {init}
     order: List[Node] = [init]
@@ -184,12 +150,10 @@ def explore_nodes(
     return order
 
 
-def transition_system_size(
-    tm: TMAlgorithm, *, compiled: bool = True, jobs: int = 1
-) -> int:
+def transition_system_size(tm: TMAlgorithm, *, compiled: bool = True) -> int:
     """Number of reachable nodes — the paper's Table 2 "Size" column."""
     if compiled:
-        return len(explore_packed(compile_tm(tm), jobs=jobs))
+        return len(explore_packed(compile_tm(tm)))
     return len(explore_nodes(tm, compiled=False))
 
 
@@ -246,7 +210,6 @@ def build_liveness_graph(
     *,
     max_states: Optional[int] = None,
     compiled: bool = True,
-    jobs: int = 1,
     cache_dir: "CacheLike" = None,
 ) -> LivenessGraph:
     """Explore the TM and label every edge with its extended statement.
@@ -260,7 +223,6 @@ def build_liveness_graph(
         return _build_liveness_graph_compiled(
             compile_tm(tm),
             max_states=max_states,
-            jobs=jobs,
             cache_dir=cache_dir,
         )
     init = initial_node(tm)
@@ -289,27 +251,22 @@ def _build_liveness_graph_compiled(
     engine: CompiledTM,
     *,
     max_states: Optional[int] = None,
-    jobs: int = 1,
     cache_dir: "CacheLike" = None,
 ) -> LivenessGraph:
     """Compiled :func:`build_liveness_graph`: BFS over packed nodes,
-    decoded once per node for the (identical) output graph.  Sharding
-    (``jobs > 1``) computes each BFS level's node rows on the worker
-    pool; the traversal below then runs on memo hits, level by level,
-    in the identical order.
+    decoded once per node for the (identical) output graph.
 
-    Serial unbounded builds route through the engine's **dense node
+    Unbounded builds route through the engine's **dense node
     adjacency** (:meth:`repro.tm.compiled.CompiledTM.dense_node_adjacency`):
     the reachable graph is compiled once into CSR arrays over dense node
     ids — in the identical BFS/row order — and the rich
     :class:`LivenessGraph` is materialized from the arrays, so repeated
     liveness checks on one engine re-walk flat arrays instead of
     re-driving the row memos.  Bounded (``max_states``) builds keep the
-    row-by-row loop so the guard raises at the identical point; sharded
-    builds keep it for the level-synchronized prefetch."""
+    row-by-row loop so the guard raises at the identical point."""
     if cache_dir is not None:
         engine.load_warm(cache_dir)
-    if max_states is None and (jobs is None or jobs <= 1):
+    if max_states is None:
         # Warm runs restore the persisted adjacency CSR directly — the
         # graph then materializes from arrays alone, without driving a
         # single node row (the liveness twin of the dense-csr replay).
@@ -340,29 +297,21 @@ def _build_liveness_graph_compiled(
     edges: List[Tuple[Node, ExtStatement, Node]] = []
     liveness_row = engine.liveness_row
     decode = engine.decode_node
-    with engine.sharded(jobs, cache_dir) as shard:
-        frontier = [init]
-        while frontier:
-            if shard is not None:
-                shard.prefetch_nodes(frontier)
-            nxt: List[int] = []
-            for node in frontier:
-                node_decoded = decode(node)
-                for label, succ in liveness_row(node):
-                    edges.append((node_decoded, label, decode(succ)))
-                    if succ not in seen:
-                        if (
-                            max_states is not None
-                            and len(seen) >= max_states
-                        ):
-                            raise RuntimeError(
-                                f"exploration exceeded {max_states} nodes"
-                                f" (at {len(seen) + 1})"
-                            )
-                        seen.add(succ)
-                        order.append(succ)
-                        nxt.append(succ)
-            frontier = nxt
+    queue = deque([init])
+    while queue:
+        node = queue.popleft()
+        node_decoded = decode(node)
+        for label, succ in liveness_row(node):
+            edges.append((node_decoded, label, decode(succ)))
+            if succ not in seen:
+                if max_states is not None and len(seen) >= max_states:
+                    raise RuntimeError(
+                        f"exploration exceeded {max_states} nodes"
+                        f" (at {len(seen) + 1})"
+                    )
+                seen.add(succ)
+                order.append(succ)
+                queue.append(succ)
     if cache_dir is not None:
         engine.save_warm(cache_dir)
     return LivenessGraph(

@@ -22,10 +22,7 @@ default and renders without the suffix.  The id doubles as the TM's
 ``name``, which keys the compiled engine's warm cache — two mutants
 never share cached tables.
 
-Mutant classes are statically defined (picklable, so the sharded
-product's spawn seeds work for default-seed mutants; non-zero seeds
-fail the :func:`repro.tm.compiled._spawn_seed` reconstruction probe and
-degrade gracefully to serial sharding) and override only
+Mutant classes are statically defined and override only
 ``progress``/``initial_state``/``view_codec`` — never ``transitions`` —
 so they ride the compiled fast path like any framework TM.
 

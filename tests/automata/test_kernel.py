@@ -164,38 +164,36 @@ class TestLazyProductOracle:
 
 
 class TestProductDfaPacked:
-    """``product_dfa_packed`` (all-int DFA-sided product) against
-    ``product_dfa_direct`` on hand-built row tables.
+    """``product_packed`` over a complete (DFA-sided) spec table against
+    the naive ``lazy_product_dfa`` on hand-built row tables — and, with
+    the rows left unqueried, against ``lazy_product_oracle`` filling
+    them on demand.
 
     The left automaton is given twice over the same packed states: once
-    as symbol-object rows for the direct checker, once as symbol-id rows
-    (bare ints for singleton groups, ``-1`` for ε) for the packed one;
-    the right side once as a DFA over the symbol objects, once as an
-    int-indexed row table.  Everything observable must match, with the
-    packed counterexample decoding to the direct one through the symbol
-    table.
+    as symbol-id rows (bare ints for singleton groups, ``-1`` for ε) for
+    the packed product, once as a step function over the symbol objects
+    for the naive one; the right side once as an int-indexed row table,
+    once as a DFA over the symbol objects.  Everything observable must
+    match, with the packed counterexample decoding to the naive one
+    through the symbol table.
     """
 
     SYMBOLS = ("a", "b")
     NODE_SPAN = 8  # a power of two covering packed left states 0..4
 
-    def _left(self, rows_ids):
-        """Symbol-object rows derived from id rows (1-tuples for the
-        direct checker's successor groups)."""
-        def row_fn(q):
-            return tuple(
-                (
-                    None if sym < 0 else self.SYMBOLS[sym],
-                    (succs,) if type(succs) is int else succs,
-                )
-                for sym, succs in rows_ids.get(q, ())
-            )
-        return row_fn
+    def _step(self, rows_ids):
+        """A from_step-style step function replaying the id rows."""
+
+        def step(q):
+            for sym, succs in rows_ids.get(q, ()):
+                label = EPSILON if sym < 0 else self.SYMBOLS[sym]
+                for s in (succs,) if type(succs) is int else succs:
+                    yield label, s
+
+        return step
 
     def _spec(self, spec_rows):
         """A DFA equivalent to the int row table."""
-        from repro.automata.dfa import DFA
-
         delta = {
             i: {
                 self.SYMBOLS[s]: succ
@@ -206,25 +204,46 @@ class TestProductDfaPacked:
         }
         return DFA(initial=0, delta=delta)
 
-    def _compare(self, rows_ids, spec_rows, max_states=None):
-        from repro.automata.kernel import product_dfa_direct, product_dfa_packed
-
-        row_ids_fn = lambda q: rows_ids.get(q, ())
-        direct = product_dfa_direct(
-            self._left(rows_ids), [0], self._spec(spec_rows),
-            max_states=max_states,
-        )
-        packed = product_dfa_packed(
-            row_ids_fn, [0], spec_rows,
-            node_span=self.NODE_SPAN, max_states=max_states,
-        )
-        holds, word_ids, pairs, states = packed
+    def _decode(self, result):
+        holds, word_ids, pairs, states, spec_states = result
         word = (
             None
             if word_ids is None
             else tuple(self.SYMBOLS[s] for s in word_ids)
         )
-        assert (holds, word, pairs, states) == direct
+        return holds, word, pairs, states, spec_states
+
+    def _compare(self, rows_ids, spec_rows, max_states=None):
+        from repro.automata.kernel import product_packed
+
+        row_ids_fn = lambda q: rows_ids.get(q, ())
+        dfa = self._spec(spec_rows)
+        naive = lazy_product_dfa(
+            [0], self._step(rows_ids), dfa, max_states=max_states
+        )
+        packed = product_packed(
+            row_ids_fn, [0], spec_rows,
+            node_span=self.NODE_SPAN, max_states=max_states,
+        )
+        assert self._decode(packed)[:4] == naive
+        # The same product with every spec cell unqueried (-2): the
+        # oracle fills the table on demand, exactly like the naive
+        # streamed oracle.
+        lazy_rows = [[-2] * len(row) for row in spec_rows]
+
+        def fill(state, sym):
+            lazy_rows[state][sym] = spec_rows[state][sym]
+            return spec_rows[state][sym]
+
+        filled = product_packed(
+            row_ids_fn, [0], lazy_rows, fill=fill,
+            node_span=self.NODE_SPAN, max_states=max_states,
+        )
+        oracle = lazy_product_oracle(
+            [0], self._step(rows_ids), dfa.initial, dfa.step,
+            max_states=max_states,
+        )
+        assert self._decode(filled) == oracle
         return packed
 
     def test_holding_product(self):
@@ -248,24 +267,20 @@ class TestProductDfaPacked:
         assert got[0] is False and got[1] == (0, 1)  # word "a b"
 
     def test_max_states_guard_message_identical(self):
-        import pytest as _pytest
-        from repro.automata.kernel import (
-            product_dfa_direct,
-            product_dfa_packed,
-        )
+        from repro.automata.kernel import product_packed
 
         rows = {q: ((0, q + 1),) for q in range(5)}
         spec = ((0, -1),)  # a self-loop on the only spec state
-        with _pytest.raises(RuntimeError) as direct:
-            product_dfa_direct(
-                self._left(rows), [0], self._spec(spec), max_states=3
+        with pytest.raises(RuntimeError) as naive:
+            lazy_product_dfa(
+                [0], self._step(rows), self._spec(spec), max_states=3
             )
-        with _pytest.raises(RuntimeError) as packed:
-            product_dfa_packed(
+        with pytest.raises(RuntimeError) as packed:
+            product_packed(
                 lambda q: rows.get(q, ()), [0], spec,
                 node_span=self.NODE_SPAN, max_states=3,
             )
-        assert str(direct.value) == str(packed.value)
+        assert str(naive.value) == str(packed.value)
 
 
 class TestDenseKernel:
@@ -301,9 +316,9 @@ class TestDenseKernel:
         )
 
     def _run(self, rows, spec, dense):
-        from repro.automata.kernel import product_dfa_packed
+        from repro.automata.kernel import product_packed
 
-        return product_dfa_packed(
+        return product_packed(
             lambda q: rows.get(q, ()), [0], spec,
             node_span=self.NODE_SPAN, dense=dense,
         )
@@ -311,7 +326,7 @@ class TestDenseKernel:
     def test_csr_construction_is_the_exact_adjacency(self):
         dense = self._dense()
         got = self._run(self.HOLDING_ROWS, self.HOLDING_SPEC, dense)
-        assert got == (True, None, 5, 3)
+        assert got == (True, None, 5, 3, 2)
         # Dense ids in discovery order: 0=(n0,s0) 1=(n1,s1) 2=(n2,s0)
         # 3=(n0,s1) 4=(n2,s1); rows recorded in exact emission order.
         assert dense.complete and not dense.flags
@@ -336,9 +351,9 @@ class TestDenseKernel:
         def poisoned(q):  # a warm run must be array-only
             raise AssertionError("row function touched on a warm run")
 
-        from repro.automata.kernel import product_dfa_packed
+        from repro.automata.kernel import product_packed
 
-        warm = product_dfa_packed(
+        warm = product_packed(
             poisoned, [0], self.HOLDING_SPEC,
             node_span=self.NODE_SPAN, dense=dense,
         )
@@ -364,7 +379,7 @@ class TestDenseKernel:
         spec = ((0,),)                 # single all-accepting spec state
         dense = self._dense()
         cold = self._run(rows, spec, dense)
-        assert cold == (True, None, 4, 4)
+        assert cold == (True, None, 4, 4, 1)
         # the duplicate edge is recorded, the pair only counted once
         assert list(dense.targets).count(3) == 2
         warm = self._run(rows, spec, dense)
@@ -387,7 +402,7 @@ class TestDenseKernel:
         monkeypatch.setattr(kernel_mod, "DENSE_MAX_EDGES", 3)
         dense = self._dense()
         got = self._run(self.HOLDING_ROWS, self.HOLDING_SPEC, dense)
-        assert got == (True, None, 5, 3)  # set-based semantics intact
+        assert got == (True, None, 5, 3, 2)  # set-based semantics intact
         assert dense.disabled and not dense.built
         # a disabled table is skipped entirely on later runs
         again = self._run(self.HOLDING_ROWS, self.HOLDING_SPEC, dense)

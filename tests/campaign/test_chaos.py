@@ -134,6 +134,14 @@ def test_cli_rejects_bad_inputs(tmp_path):
     assert _chaos(
         tmp_path, "--schedule", str(schedule)
     ).returncode == CHAOS_USAGE
+    # The pool-dispatch site left with intra-check sharding.
+    schedule.write_text(json.dumps({
+        "name": "pool", "seed": 0,
+        "rules": [{"site": "pool.dispatch", "fault": "eio"}],
+    }))
+    proc = _chaos(tmp_path, "--schedule", str(schedule))
+    assert proc.returncode == CHAOS_USAGE
+    assert "unknown site 'pool.dispatch'" in proc.stderr
 
 
 # ----------------------------------------------------------------------

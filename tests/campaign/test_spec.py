@@ -91,6 +91,15 @@ def test_digest_is_stable_and_content_sensitive():
     "mutate, match",
     [
         (lambda d: d.__setitem__("bogus", 1), "unknown key"),
+        # Removed intra-check sharding / spec-engine knobs fail loudly.
+        *(
+            (
+                lambda d, key=key: d.__setitem__("defaults", {key: 1}),
+                f"unknown key '{key}'",
+            )
+            for key in ("jobs", "shard_product", "chunk_size",
+                        "spec_compiled")
+        ),
         (
             lambda d: d.__setitem__(
                 "matrix", {"tms": ["nope"], "properties": ["ss"],

@@ -101,14 +101,13 @@ def test_retry_exhaustion_records_error_without_raising():
     assert "injected failure" in entry["error"]
 
 
-def test_degradation_ladder_serial_then_cold(tmp_path):
-    """Faults degrade jobs>1 -> serial -> cold before succeeding; the
-    degraded result is still the canonical one (sharding and warm
-    starts are optimization-only)."""
+def test_degradation_ladder_warm_then_cold(tmp_path):
+    """A fault degrades a warm cell to cold before succeeding; the
+    degraded result is still the canonical one (warm starts are
+    optimization-only), and a cold cell has no rung left."""
     clean = run_cell(_cell())
     entry = run_cell(
         _cell(
-            jobs=2,
             cache_dir=str(tmp_path),
             retries=2,
             inject={"fail_attempts": 2},
@@ -117,8 +116,8 @@ def test_degradation_ladder_serial_then_cold(tmp_path):
     assert entry["status"] == "pass"
     assert entry["attempts"] == 3
     assert [fault["degraded"] for fault in entry["faults"]] == [
-        "serial",
         "cold",
+        None,
     ]
     assert entry["result"] == clean["result"]
 

@@ -1,17 +1,17 @@
 """Cross-engine conformance matrix: one suite, every engine combination.
 
-The safety pipeline now has five independent engine axes — the compiled
-TM engine, the compiled spec side (packed oracle on the lazy path,
-int-rows DFA on the materialized path), the dense array-backed BFS
-kernel (CSR successor tables + bitset seen-sets vs the set-based pair
-loop), process sharding (row-prefetch or the sharded product BFS
-itself), and the warm cache over its pluggable backends (disk pickle,
-in-memory, mmap segments).  Every cell of this matrix must
-produce **byte-identical** verdicts, counterexamples and reported
-counts against the naive reference path (``compiled=False``), holding
-and violating instances alike.  This file replaces the per-PR ad-hoc
-differentials with one systematic sweep; new engine axes should be
-added here, not as new one-off tests.
+The safety pipeline has three engine axes on top of the naive reference
+path (``compiled=False``): the compiled packed product (compiled TM
+engine × int-indexed spec side — the packed oracle on the lazy path,
+the int-rows DFA on the materialized path, or a caller-provided spec
+DFA re-indexed by statement id), the dense array-backed BFS kernel (CSR
+successor tables + bitset seen-sets vs the set-based pair loop), and
+the warm cache over its pluggable backends (disk pickle, in-memory,
+mmap segments).  Every cell of this matrix must produce
+**byte-identical** verdicts, counterexamples and reported counts
+against the naive reference, holding and violating instances alike.
+This file replaces the per-PR ad-hoc differentials with one systematic
+sweep; new engine axes should be added here, not as new one-off tests.
 """
 
 import os
@@ -20,7 +20,7 @@ import pytest
 
 from repro.cache import MemoryCacheBackend, MmapCacheBackend
 from repro.checking import check_safety
-from repro.spec import OP, SS
+from repro.spec import OP, SS, cached_det_spec
 from repro.spec.compiled import (
     clear_spec_dfa_cache,
     clear_spec_oracle_cache,
@@ -37,8 +37,8 @@ from repro.tm import (
 #: Algorithm × property cells that fit tier-1 time.  ModifiedTL2 (2, 2)
 #: and the seeded mutant are the violating instances: their
 #: counterexamples must survive every engine combination bit for bit.
-#: The managed cell exercises the stateful-manager product (which the
-#: compiled engine degrades to serial on — still byte-identical).
+#: The managed cell exercises the stateful-manager product (codec-less:
+#: no dense table, no warm cache — still byte-identical).
 CELLS = [
     pytest.param(lambda: TwoPhaseLockingTM(2, 1), SS, id="2pl21-ss"),
     pytest.param(lambda: TwoPhaseLockingTM(2, 1), OP, id="2pl21-op"),
@@ -69,46 +69,21 @@ def _tuple(res):
     )
 
 
-def _combos():
-    """Engine combinations: compiled × spec_compiled × dense-kernel ×
-    jobs × sharded-product × cache backend, pruned to the cells where
-    an axis exists (the naive path has no spec engine, no pool and no
-    cache; a pair sharder needs ``jobs > 1`` and a compiled spec side;
-    the dense kernel only engages on the all-int compiled-spec paths).
-    The backend axis: ``None`` is a cold run; ``"disk"`` warm-restores
-    everywhere; the ``"memory"`` and ``"mmap"`` backends join on the
-    serial combos (one representative of each per engine shape keeps
-    the sweep inside tier-1 time — the backend-protocol conformance
-    itself lives in ``tests/test_cache_backends.py``)."""
-    for compiled in (True, False):
-        for spec_compiled in (True, False) if compiled else (True,):
-            dense_opts = (
-                (True, False) if compiled and spec_compiled else (False,)
-            )
-            for dense in dense_opts:
-                for jobs in (1, 2) if compiled else (1,):
-                    shard_opts = (
-                        (True, False)
-                        if jobs > 1 and spec_compiled
-                        else (True,)
-                    )
-                    for shard_product in shard_opts:
-                        backend_opts = (None,)
-                        if compiled:
-                            backend_opts = (
-                                (None, "disk", "memory", "mmap")
-                                if jobs == 1
-                                else (None, "disk")
-                            )
-                        for backend in backend_opts:
-                            yield {
-                                "compiled": compiled,
-                                "spec_compiled": spec_compiled,
-                                "dense": dense,
-                                "jobs": jobs,
-                                "shard_product": shard_product,
-                                "backend": backend,
-                            }
+def _combos(lazy_spec):
+    """Engine combinations: compiled × dense-kernel × cache backend,
+    plus the naive path (which has no dense kernel and no cache) and —
+    on the DFA side — a caller-provided spec, which takes the compiled
+    product without a dense table or spec cache.  The backend axis:
+    ``None`` is a cold run; ``"disk"``, ``"memory"`` and ``"mmap"``
+    warm-restore (the backend-protocol conformance itself lives in
+    ``tests/test_cache_backends.py``)."""
+    for dense in (True, False):
+        for backend in (None, "disk", "memory", "mmap"):
+            yield {"dense": dense, "backend": backend}
+    yield {"compiled": False}
+    if not lazy_spec:
+        for backend in (None, "disk"):
+            yield {"caller_spec": True, "backend": backend}
 
 
 @pytest.mark.parametrize("lazy_spec", [False, True], ids=["dfa", "oracle"])
@@ -135,20 +110,20 @@ def test_every_engine_combination_matches_naive(
     reference = _tuple(
         check_safety(factory(), prop, lazy_spec=lazy_spec, compiled=False)
     )
-    for combo in _combos():
+    for combo in _combos(lazy_spec):
         kwargs = {
             "lazy_spec": lazy_spec,
-            "compiled": combo["compiled"],
-            "spec_compiled": combo["spec_compiled"],
-            "dense_kernel": combo["dense"],
-            "jobs": combo["jobs"],
-            "shard_product": combo["shard_product"],
+            "compiled": combo.get("compiled", True),
+            "dense_kernel": combo.get("dense"),
         }
-        if combo["backend"] is not None:
+        tm = factory()
+        if combo.get("caller_spec"):
+            kwargs["spec"] = cached_det_spec(tm.n, tm.k, prop)
+        if combo.get("backend") is not None:
             clear_spec_oracle_cache()
             clear_spec_dfa_cache()
             kwargs["cache_dir"] = backends[combo["backend"]]
-        got = _tuple(check_safety(factory(), prop, **kwargs))
+        got = _tuple(check_safety(tm, prop, **kwargs))
         assert got == reference, f"combo {combo} diverged"
     clear_spec_oracle_cache()
     clear_spec_dfa_cache()
@@ -182,20 +157,18 @@ def test_violating_cell_actually_violates():
 
 
 def test_max_states_guard_identical_across_engines():
-    """The guard raise is order-sensitive, so bounded runs stay serial;
-    every engine combination must produce the identical message."""
+    """The guard raise is order-sensitive; every engine combination must
+    produce the identical message."""
     messages = set()
     for kwargs in (
+        {"lazy_spec": True},
+        {"lazy_spec": True, "compiled": False},
+        {"lazy_spec": True, "dense_kernel": False},
         {},
-        {"jobs": 2},
-        {"jobs": 2, "shard_product": False},
         {"compiled": False},
-        {"spec_compiled": False},
-        {"dense_kernel": False},
+        {"spec": cached_det_spec(2, 2, SS)},
     ):
         with pytest.raises(RuntimeError) as exc:
-            check_safety(
-                DSTM(2, 2), SS, lazy_spec=True, max_states=40, **kwargs
-            )
+            check_safety(DSTM(2, 2), SS, max_states=40, **kwargs)
         messages.add(str(exc.value))
     assert len(messages) == 1

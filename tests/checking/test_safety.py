@@ -181,7 +181,7 @@ class TestProfile:
     def test_uninstrumented_branch_reports_coarse_total(self):
         prof = {}
         res = check_safety(
-            DSTM(2, 1), SS, lazy_spec=True, spec_compiled=False,
+            DSTM(2, 1), SS, lazy_spec=True, compiled=False,
             profile=prof,
         )
         assert res.holds

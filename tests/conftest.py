@@ -9,6 +9,12 @@ from repro.spec.det import build_det_spec
 from repro.spec.nondet import build_nondet_spec
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running test (tens of seconds or more)"
+    )
+
+
 @pytest.fixture(scope="session")
 def det_spec_ss_22():
     """Σdss for 2 threads, 2 variables (Algorithm 6)."""

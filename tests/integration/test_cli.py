@@ -146,17 +146,26 @@ class TestDenseKernelAndProfileFlags:
             }
             assert all(v >= 0 for v in record["phases"].values())
 
-    def test_chunk_size_flag_accepted(self, capsys):
-        assert main(
-            ["safety", "2pl", "-k", "1", "--jobs", "2", "--chunk-size", "4",
-             "--no-shard-product"]
-        ) == 0
-
-    def test_nonpositive_chunk_size_is_a_usage_error(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["safety", "2pl", "-k", "1", "--jobs", "2"],
+            ["safety", "2pl", "-k", "1", "--no-shard-product"],
+            ["safety", "2pl", "-k", "1", "--chunk-size", "4"],
+            ["safety", "2pl", "-k", "1", "--no-compiled-spec"],
+            ["liveness", "2pl", "--jobs", "2"],
+            ["serve", "--socket", "/nonexistent/s.sock", "--jobs", "2"],
+        ],
+        ids=[
+            "safety-jobs", "no-shard-product", "chunk-size",
+            "no-compiled-spec", "liveness-jobs", "serve-jobs",
+        ],
+    )
+    def test_removed_sharding_flags_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["safety", "2pl", "-k", "1", "--jobs", "2",
-                  "--chunk-size", "0"])
+            main(argv)
         assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestBatchCommand:

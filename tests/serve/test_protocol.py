@@ -56,6 +56,12 @@ def test_build_cell_is_campaign_strict():
         build_cell(parse_request(
             _line({"tm": "nope", "property": "ss"})
         ))
+    # removed intra-check sharding / spec-engine knobs fail loudly
+    for key in ("jobs", "shard_product", "chunk_size", "spec_compiled"):
+        with pytest.raises(ProtocolError, match=f"unknown key.*'{key}'"):
+            build_cell(parse_request(
+                _line({"tm": "dstm", "property": "ss", key: 1})
+            ))
     with pytest.raises(ProtocolError, match="missing 'property'"):
         build_cell(parse_request(_line({"tm": "dstm"})))
 

@@ -91,14 +91,14 @@ def test_daemon_verdicts_byte_identical_across_axes(tmp_path):
         with daemon.client() as client:
             for tm, prop in reference:
                 for warm in (True, False):
-                    for jobs in (1, 2):
+                    for compiled in (True, False):
                         record = _check(
                             client, tm=tm, property=prop,
-                            warm=warm, jobs=jobs,
+                            warm=warm, compiled=compiled,
                         )
                         assert record["status"] in ("pass", "fail")
                         assert record["result"] == reference[tm, prop], (
-                            f"{tm}/{prop} warm={warm} jobs={jobs}"
+                            f"{tm}/{prop} warm={warm} compiled={compiled}"
                         )
                         # canonical encoding: byte-identical lines
                         assert encode(
@@ -287,7 +287,17 @@ def test_protocol_errors_answered_inline():
             worse = client.request({"op": "check", "tm": "dstm",
                                     "property": "ss", "cache_dir": "x"})
             assert worse["op"] == "error"
-            assert client.stats()["requests"]["protocol_error"] == 2
+            removed = ("jobs", "shard_product", "chunk_size",
+                       "spec_compiled")
+            for key in removed:
+                gone = client.request({"op": "check", "tm": "dstm",
+                                       "property": "ss", key: 1})
+                assert gone["op"] == "error"
+                assert "unknown key" in gone["error"]
+                assert f"'{key}'" in gone["error"]
+            assert client.stats()["requests"]["protocol_error"] == (
+                2 + len(removed)
+            )
             # raw garbage on the wire is also answered, not fatal
             client._sock.sendall(b"{not json\n")
             line = json.loads(client._reader.readline().decode())

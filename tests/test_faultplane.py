@@ -68,6 +68,8 @@ def test_equivalent_schedules_share_a_digest():
         (lambda s: s.update(rules=[]), "non-empty list"),
         (lambda s: s["rules"][0].update(site="disk.save"),
          "unknown site"),
+        (lambda s: s["rules"][0].update(site="pool.dispatch"),
+         "unknown site 'pool.dispatch'"),
         (lambda s: s["rules"][0].update(fault="explode"),
          "unknown fault"),
         (lambda s: s["rules"][0].update(nth=0), "nth"),

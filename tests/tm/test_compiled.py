@@ -154,6 +154,10 @@ def test_liveness_graph_identical(factory):
     assert compiled.initial == naive.initial
     assert compiled.nodes == naive.nodes
     assert compiled.edges == naive.edges
+    # a bounded build walks the row-by-row loop instead of the dense
+    # adjacency; under a bound it never hits, the graph is identical
+    bounded = build_liveness_graph(factory(), max_states=10**6)
+    assert bounded == compiled
 
 
 def test_explore_max_states_guard_on_compiled_path():
@@ -229,6 +233,33 @@ def test_compiled_transitions_contract():
             assert engine.transitions(state, cmd, t) == tm.transitions(
                 state, cmd, t
             )
+
+
+def test_stable_encoding_round_trips():
+    tm = DSTM(2, 2)
+    engine = compile_tm(tm)
+    for node in explore_nodes(tm)[:200]:
+        packed = engine.encode_node(node)
+        stable = engine.stable_of_node(packed)
+        assert engine.node_of_stable(stable) == packed
+
+
+def test_stable_encoding_translates_across_engines():
+    """A fresh engine (different intern order) resolves another engine's
+    stable ids to the same rich nodes — the property the persisted
+    dense tables rely on."""
+    a = compile_tm(DSTM(2, 2))
+    b = compile_tm(DSTM(2, 2))
+    nodes = explore_nodes(DSTM(2, 2))
+    # warm engine a in exploration order, engine b in reverse order, so
+    # their dense view ids genuinely differ
+    for node in nodes:
+        a.encode_node(node)
+    for node in reversed(nodes):
+        b.encode_node(node)
+    for node in nodes[:100]:
+        stable = a.stable_of_node(a.encode_node(node))
+        assert b.decode_node(b.node_of_stable(stable)) == node
 
 
 def test_expand_batches_node_rows():
