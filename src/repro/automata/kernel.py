@@ -41,8 +41,11 @@ of the same product — a repeated check, a benchmark round, a process
 warm-started from the on-disk cache — then never touches the
 dict-of-dicts row memos at all: the BFS becomes batched "gather
 successors → mask out seen → extend frontier" sweeps over the CSR with a
-bitset seen-set (a vectorizing numpy fast path is auto-detected; the
-pure-stdlib bytearray path is always present).  Violating products
+bitset seen-set.  Tables of at least :data:`DENSE_NUMPY_MIN_EDGES` edges
+take a vectorized numpy path, importing numpy on first such use; smaller
+ones — every Table 2 cell at (2, 2) — take the pure-stdlib bytearray
+path, which is always present and finishes first below that size
+because it skips numpy's import.  Violating products
 keep their partial CSR with the violating pair flagged, so warm reruns
 short-circuit straight to the traced twin — verdicts,
 counterexamples and every reported count stay byte-identical to the
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from operator import le
 from time import perf_counter
 from typing import (
     Callable,
@@ -77,10 +81,40 @@ from .dfa import DFA
 from .interned import intern_dfa, intern_nfa
 from .nfa import EPSILON, NFA
 
-try:  # optional fast path; the stdlib path below is always present
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy genuinely absent
-    _np = None
+#: Edge count from which :class:`DenseCSR` validates and replays a table
+#: through numpy instead of the stdlib path; the gate reads only the
+#: table's own size.  Measured in fresh processes (2-core box, numpy
+#: 2.4.6), loading and replaying a table costs ~17 ms + ~170 ns/edge on
+#: the stdlib path and ~85 ms + ~36 ns/edge through numpy, the 85 ms
+#: being mostly numpy's import: the two cross at ~0.4-0.65 M edges.
+#: Every (2, 2) table (<= 180k edges) stays on the stdlib path.
+DENSE_NUMPY_MIN_EDGES = 500_000
+
+
+def _numpy_for(edges: int):
+    """numpy, imported on first use, for a table of ``edges`` edges — or
+    ``None``: the table is below :data:`DENSE_NUMPY_MIN_EDGES`, or numpy
+    is absent (the stdlib path is always present)."""
+    if edges < DENSE_NUMPY_MIN_EDGES:
+        return None
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - numpy genuinely absent
+        return None
+    return numpy
+
+
+def _all_below(vec, bound: int) -> bool:
+    """Whether every value of the int vector ``vec`` lies in ``[0,
+    bound)``, by one builtin ``max`` over its unsigned reinterpretation:
+    a negative value wraps to at least ``2**(bits-1)``, which is above
+    any bound up to that (larger bounds take ``min`` and ``max``)."""
+    if not len(vec):
+        return True
+    if bound > 1 << (8 * vec.itemsize - 1):
+        return min(vec) >= 0 and max(vec) < bound
+    unsigned = "I" if vec.itemsize == 4 else "Q"
+    return max(memoryview(vec).cast("B").cast(unsigned)) < bound
 
 
 def _np_vec(np, vec):
@@ -91,6 +125,13 @@ def _np_vec(np, vec):
     return np.frombuffer(
         vec, dtype=np.int32 if vec.itemsize == 4 else np.int64
     )
+
+
+def _np_distinct(np, vec) -> int:
+    """Number of distinct values of an int vector: sort, count the steps
+    (``np.unique`` gives the same count but imports ``numpy.ma``)."""
+    a = np.sort(_np_vec(np, vec))
+    return int(a.size and 1 + np.count_nonzero(a[1:] != a[:-1]))
 
 Symbol = Hashable
 
@@ -348,12 +389,14 @@ class DenseCSR:
     A CSR is built as a by-product of the first untraced pass
     (:func:`_product_packed_dense`) and replayed by :meth:`run`: a
     level-synchronous BFS over the arrays with a bitset seen-set —
-    "gather successors → mask out seen → extend frontier".  With numpy
-    the sweep is vectorized (fancy-indexed gather, boolean-mask seen
-    filtering, dedup through a level-local marker bitset extracted
-    with ``flatnonzero`` — same sorted frontier
-    as ``np.unique`` without its general sort); the stdlib fallback
-    fuses gather and mask into one loop over a ``bytearray`` bitset.
+    "gather successors → mask out seen → extend frontier".  Tables of at
+    least :data:`DENSE_NUMPY_MIN_EDGES` edges vectorize the sweep with
+    numpy (fancy-indexed gather, boolean-mask seen filtering, dedup
+    through a level-local marker bitset extracted with ``flatnonzero``
+    — same sorted frontier as ``np.unique`` without its general sort);
+    smaller ones, or any table without numpy, take the stdlib path,
+    which fuses gather and mask into one loop over a ``bytearray``
+    bitset.
     Holding products are *complete* (every
     reachable pair recorded, no flags): :meth:`run` re-derives the exact
     set-path counts.  Violating products keep a *partial* CSR whose
@@ -392,6 +435,7 @@ class DenseCSR:
         "num_init",
         "complete",
         "stable_keys",
+        "restored",
         "disabled",
         "_dirty",
     )
@@ -420,6 +464,8 @@ class DenseCSR:
         #: Whether ``node_keys`` is in the codec-bits stable encoding
         #: (after a save/load) or the builder's engine-local packing.
         self.stable_keys = False
+        #: Whether the table was restored by :meth:`load_warm`.
+        self.restored = False
         self.disabled = False
         self._dirty = False
 
@@ -437,16 +483,24 @@ class DenseCSR:
             "complete": self.complete,
         }
 
-    def matches_init(self, init: Sequence[int]) -> bool:
+    def matches_init(
+        self, init: Sequence[int], *, stable: bool = False
+    ) -> bool:
         """Whether this table was recorded from exactly these initial
         packed nodes (right component 0, the canonical initial spec
-        state, is enforced at record time)."""
+        state, is enforced at record time).  ``stable=True`` passes them
+        already in the stable encoding, which only a saved or loaded
+        table can match — so a warm caller can ask before interning
+        anything."""
         if not self.built or self.num_init != len(init):
             return False
         keys = self.node_keys
-        if self.stable_keys:
-            stable = self.stable_of_node
-            return all(keys[i] == stable(p) for i, p in enumerate(init))
+        if stable:
+            if not self.stable_keys:
+                return False
+        elif self.stable_keys:
+            stable_of = self.stable_of_node
+            init = [stable_of(p) for p in init]
         return all(keys[i] == p for i, p in enumerate(init))
 
     # ------------------------------------------------------------------
@@ -463,8 +517,9 @@ class DenseCSR:
         distinct left and right components).  A violated result carries
         no counts — the caller reruns the traced twin.
         """
-        if _np is not None:
-            return self._run_numpy(_np)
+        np = _numpy_for(len(self.targets))
+        if np is not None:
+            return self._run_numpy(np)
         return self._run_python()
 
     def _run_python(self) -> Tuple[bool, int, int, int]:
@@ -556,8 +611,8 @@ class DenseCSR:
             pairs += int(fresh.size)
             frontier = fresh
         if self.complete:
-            states_seen = int(np.unique(_np_vec(np, self.node_keys)).size)
-            spec_seen = int(np.unique(_np_vec(np, self.spec_ids)).size)
+            states_seen = _np_distinct(np, self.node_keys)
+            spec_seen = _np_distinct(np, self.spec_ids)
         else:  # pragma: no cover - partial CSRs always flag a violation
             states_seen, spec_seen = self._distinct_counts_python(
                 bytearray(seen.tobytes())
@@ -606,8 +661,9 @@ class DenseCSR:
 
         Validation is structural — array types, a monotone offset
         vector, every target/flag id in range, initial pairs on spec
-        state 0, left keys within the node span (vectorized under
-        numpy).  Keys are *not* re-decoded against the view codec: an
+        state 0, left keys within the node span (vectorized through numpy
+        on tables of at least :data:`DENSE_NUMPY_MIN_EDGES` edges).  Keys
+        are *not* re-decoded against the view codec: an
         in-range forged key can only perturb the two distinct-component
         counts, the same trust already extended to ``spec_ids``.
         """
@@ -653,11 +709,12 @@ class DenseCSR:
         if any(spec_ids[i] for i in range(num_init)):
             return False
         span = 1 << self.span_bits
-        if _np is not None:
-            o = _np_vec(_np, offsets)
-            t = _np_vec(_np, targets)
-            k = _np_vec(_np, node_keys)
-            if (_np.diff(o) < 0).any():
+        np = _numpy_for(len(targets))
+        if np is not None:
+            o = _np_vec(np, offsets)
+            t = _np_vec(np, targets)
+            k = _np_vec(np, node_keys)
+            if (np.diff(o) < 0).any():
                 return False
             if t.size and not (
                 (t >= 0).all() and (t < npairs).all()
@@ -666,13 +723,13 @@ class DenseCSR:
             if not ((k >= 0).all() and (k < span).all()):
                 return False
         else:
-            if any(
-                offsets[i] > offsets[i + 1] for i in range(npairs)
-            ):
+            # The same three tests at C speed: a mapped pairwise
+            # comparison and builtin max, no per-element bytecode.
+            if not all(map(le, offsets, offsets[1:])):
                 return False
-            if not all(0 <= s < npairs for s in targets):
+            if not _all_below(targets, npairs):
                 return False
-            if not all(0 <= key < span for key in node_keys):
+            if not _all_below(node_keys, span):
                 return False
         self.node_keys = node_keys
         self.spec_ids = spec_ids
@@ -682,6 +739,7 @@ class DenseCSR:
         self.num_init = num_init
         self.complete = complete
         self.stable_keys = True
+        self.restored = True
         self._dirty = False
         return True
 
@@ -1037,6 +1095,7 @@ def _product_packed_dense(
         dense.num_init = len(init)
         dense.complete = violated_at < 0
         dense.stable_keys = False
+        dense.restored = False
         dense._dirty = True
     if violated_at >= 0:
         return None

@@ -132,7 +132,9 @@ def _run_check(
     the daemon), a small engine-introspection dict — ``safety_rows`` is
     the number of TM transition rows this run actually *built* (0 means
     the check was served entirely from warm state), ``warm_safety_rows``
-    the rows restored from the cache — and the per-phase profile split
+    the rows restored from the cache, ``warm_dense_pairs`` the product
+    pairs of restored dense tables (a warm holding check replays its
+    table alone and restores no rows) — and the per-phase profile split
     when the cell asked for one (``profile: true``).
     """
     from ..checking import check_safety
@@ -177,6 +179,7 @@ def _run_check(
         stats = {
             "safety_rows": engine_stats["safety_rows"] - warm,
             "warm_safety_rows": warm,
+            "warm_dense_pairs": engine_stats.get("warm_dense_pairs", 0),
         }
     return result, stats, profile
 

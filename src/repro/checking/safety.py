@@ -120,19 +120,42 @@ def _dense_for(engine, side, prop, dense_kernel, cache_dir, max_states):
 
 
 @contextmanager
-def _warm(cache_dir, *tables):
-    """Warm-load every table (anything with the ``load_warm``/
+def _warm(cache_dir, engine, side, dense, lazy_spec):
+    """Warm-load the check's tables (anything with the ``load_warm``/
     ``save_warm`` contract: the compiled TM engine, a compiled spec
     side, the dense kernel's CSR table; ``None`` entries are skipped)
     from ``cache_dir`` before the product runs, and spill them after.
-    A restored dense table lets the product run array-only, without
-    ever touching the row memos.  Nothing happens without a cache."""
-    live = [] if cache_dir is None else [t for t in tables if t]
-    for table in live:
-        table.load_warm(cache_dir)
-    yield
-    for table in live:
-        table.save_warm(cache_dir)
+    Nothing happens without a cache.
+
+    The dense table loads first.  Yields whether it restored a
+    *complete* table recorded from this engine's initial node (compared
+    in the stable encoding, so nothing is interned): such a table
+    replays array-only and never calls the row function or the
+    oracle's ``fill``, so the TM engine's payload is not read at all,
+    nor the spec oracle's — the replay re-derives its spec-state count.
+    Both stay *fresh*, and a later check on them in this process can
+    still warm-load them.  A partial (violating), mismatched or absent
+    table loads everything: the product needs the rows."""
+    if cache_dir is None:
+        yield False
+        return
+    replay = (
+        dense is not None
+        and dense.load_warm(cache_dir)
+        and dense.complete
+        and dense.matches_init([engine.initial_node_stable()], stable=True)
+    )
+    if replay:
+        loads = () if lazy_spec else (side,)
+    else:
+        loads = (engine, side)
+    for table in loads:
+        if table:
+            table.load_warm(cache_dir)
+    yield replay
+    for table in (engine, side, dense):
+        if table:  # save_warm is a no-op on tables nothing was added to
+            table.save_warm(cache_dir)
 
 
 def check_safety(
@@ -204,7 +227,9 @@ def check_safety(
     tables and memoized rows of the compiled engines — and the dense
     kernel's CSR tables — are restored before the check and spilled
     after, so repeated process invocations skip re-compilation
-    entirely.  A caller-provided ``spec`` is not the canonical one, so
+    entirely; a restored complete (holding) dense table replays alone,
+    without reading the engine's or the spec oracle's payload (see
+    :func:`_warm`).  A caller-provided ``spec`` is not the canonical one, so
     nothing derived from it is cached: only the TM engine's rows (which
     do not depend on the spec) warm-start.
 
@@ -290,7 +315,7 @@ def check_safety(
                 max_states,
             )
         )
-        with _warm(cache_dir, engine, side, dense):
+        with _warm(cache_dir, engine, side, dense, lazy_spec) as replay:
             # Tables are picked up *after* the warm load above —
             # load_warm rebinds them, and a stale reference would miss
             # every restored row.
@@ -301,24 +326,33 @@ def check_safety(
             else:
                 spec_rows = interned_spec_rows(tm.n, tm.k, prop, spec=spec)
                 fill = None
-            row_fn = engine.safety_row_ids
-            row_map = engine.safety_rows_map()
             if profile is not None:
-                row_fn = _timed_row_fn(row_fn, row_map, profile)
-                row_map = None
                 profile["engine_build_s"] = time.perf_counter() - t0
                 t_product = time.perf_counter()
-            holds, ce_ids, discovered, tm_states, spec_seen = product_packed(
-                row_fn,
-                [engine.initial_node_packed()],
-                spec_rows,
-                fill=fill,
-                node_span=engine.node_span,
-                row_map=row_map,
-                max_states=max_states,
-                dense=dense,
-                profile=profile,
-            )
+            if replay:
+                # A complete table holds: the replay is the whole product.
+                violated, discovered, tm_states, spec_seen = dense.run()
+                assert not violated, "a complete dense table has no flags"
+                holds, ce_ids = True, None
+            else:
+                row_fn = engine.safety_row_ids
+                row_map = engine.safety_rows_map()
+                if profile is not None:
+                    row_fn = _timed_row_fn(row_fn, row_map, profile)
+                    row_map = None
+                (
+                    holds, ce_ids, discovered, tm_states, spec_seen
+                ) = product_packed(
+                    row_fn,
+                    [engine.initial_node_packed()],
+                    spec_rows,
+                    fill=fill,
+                    node_span=engine.node_span,
+                    row_map=row_map,
+                    max_states=max_states,
+                    dense=dense,
+                    profile=profile,
+                )
             if profile is not None:
                 _close_profile(profile, t_product)
         # The oracle side reports the spec states the product discovered;

@@ -225,7 +225,8 @@ class CompiledTM:
         # Safety rows restored by the last successful load_warm: the
         # delta against len(_safety_rows_ids) is the number of rows this
         # process actually *built* — the serve layer's resident-tier
-        # hit signal (0 on a fully warm request).
+        # hit signal (0 on a fully warm request; a warm holding check
+        # replays its dense table and restores no rows at all).
         self._warm_safety_rows = 0
 
         # The dense layer: per-(side, property) product CSR tables
@@ -524,6 +525,23 @@ class CompiledTM:
             stable_state |= view_bits[vid] << (width * i)
         return stable_state * self._pend_span + packed_pending
 
+    def initial_node_stable(self) -> Optional[int]:
+        """:meth:`stable_of_node` of the initial node, packed straight
+        through the codec: no view is interned, so a fresh engine stays
+        fresh (still loadable from the warm cache).  ``None`` when the
+        codec packs an initial view wider than its digit — such a node
+        has no stable encoding (interning it raises)."""
+        codec = self._codec
+        assert codec is not None
+        width = codec.width
+        stable_state = 0
+        for i, view in enumerate(self.tm.initial_state()):
+            bits = codec.pack(view)
+            if bits >> width:
+                return None
+            stable_state |= bits << (width * i)
+        return stable_state * self._pend_span  # no pending commands
+
     def node_of_stable(self, stable_node: int) -> int:
         """Inverse of :meth:`stable_of_node`, interning unseen views.
 
@@ -788,6 +806,11 @@ class CompiledTM:
             "node_rows": len(self._node_rows),
             "safety_rows": len(self._safety_rows_ids),
             "warm_safety_rows": self._warm_safety_rows,
+            "warm_dense_pairs": sum(
+                len(csr.node_keys)
+                for csr in self._dense.values()
+                if csr.restored and csr.built
+            ),
         }
 
     # ------------------------------------------------------------------
@@ -844,16 +867,28 @@ class CompiledTM:
             pend_span = self._pend_span
             num_syms = len(self._symbols)
 
+            shifts = tuple(width * i for i in range(self.n))
+            # Nodes recur across rows (TL2 (2, 2): ~92k references to
+            # ~15k nodes), so each distinct node is tested once: exact
+            # ints that passed are remembered in ``valid`` and every
+            # other reference is one set probe.  Anything else — a bool,
+            # an int subclass — takes the full test every time.
+            valid = set()
+
             def valid_node(packed: object) -> bool:
+                if type(packed) is int and packed in valid:
+                    return True
                 if not isinstance(packed, int) or packed < 0:
                     return False
                 state, _pending = divmod(packed, pend_span)
                 if state >= state_span:
                     return False
-                return all(
-                    ((state >> (width * i)) & digit_mask) < nviews
-                    for i in range(self.n)
-                )
+                for shift in shifts:
+                    if (state >> shift) & digit_mask >= nviews:
+                        return False
+                if type(packed) is int:
+                    valid.add(packed)
+                return True
 
             for node, row in safety_rows.items():
                 if not valid_node(node) or not isinstance(row, tuple):
@@ -865,7 +900,7 @@ class CompiledTM:
                         if not valid_node(succs):
                             return False
                     elif not isinstance(succs, tuple) or not all(
-                        valid_node(s) for s in succs
+                        map(valid_node, succs)
                     ):
                         return False
             # Node rows (the liveness/explorer view) persist Ext/Resp in

@@ -283,6 +283,18 @@ class TestProductDfaPacked:
         assert str(naive.value) == str(packed.value)
 
 
+def _pin_path(monkeypatch, numpy_path):
+    """Send every :class:`DenseCSR` replay and load validation down one
+    path through the edge-count gate: a gate of 0 admits every table to
+    numpy, a gate no table reaches keeps them all on the stdlib path."""
+    import repro.automata.kernel as kernel_mod
+
+    if numpy_path:
+        pytest.importorskip("numpy")
+    gate = 0 if numpy_path else 1 << 62
+    monkeypatch.setattr(kernel_mod, "DENSE_NUMPY_MIN_EDGES", gate)
+
+
 class TestDenseKernel:
     """The dense kernel: CSR recording, bitset BFS, persistence.
 
@@ -339,12 +351,7 @@ class TestDenseKernel:
 
     @pytest.mark.parametrize("numpy_path", [True, False], ids=["np", "py"])
     def test_warm_rerun_never_touches_rows(self, monkeypatch, numpy_path):
-        import repro.automata.kernel as kernel_mod
-
-        if not numpy_path:
-            monkeypatch.setattr(kernel_mod, "_np", None)
-        elif kernel_mod._np is None:  # pragma: no cover
-            pytest.skip("numpy unavailable")
+        _pin_path(monkeypatch, numpy_path)
         dense = self._dense()
         cold = self._run(self.HOLDING_ROWS, self.HOLDING_SPEC, dense)
 
@@ -364,12 +371,7 @@ class TestDenseKernel:
         """Two length-2 paths converge on one node in the same BFS level:
         the gathered batch contains its dense id twice, the bitset must
         admit it once."""
-        import repro.automata.kernel as kernel_mod
-
-        if not numpy_path:
-            monkeypatch.setattr(kernel_mod, "_np", None)
-        elif kernel_mod._np is None:  # pragma: no cover
-            pytest.skip("numpy unavailable")
+        _pin_path(monkeypatch, numpy_path)
         rows = {
             0: ((0, (1, 2)),),         # a -> {1, 2}
             1: ((0, 3),),              # both paths meet at node 3
@@ -414,12 +416,7 @@ class TestDenseKernel:
     ):
         """A product violating on its very first pair flags dense id 0;
         the warm replay must bail before any sweep."""
-        import repro.automata.kernel as kernel_mod
-
-        if not numpy_path:
-            monkeypatch.setattr(kernel_mod, "_np", None)
-        elif kernel_mod._np is None:  # pragma: no cover
-            pytest.skip("numpy unavailable")
+        _pin_path(monkeypatch, numpy_path)
         rows = {0: ((1, 1),)}          # b from the initial node
         spec = ((0, -1),)              # ... which the spec rejects
         dense = self._dense()
@@ -455,20 +452,19 @@ class TestDenseKernel:
 
     @pytest.mark.parametrize("numpy_path", [True, False], ids=["np", "py"])
     def test_save_load_round_trip(self, tmp_path, monkeypatch, numpy_path):
-        import repro.automata.kernel as kernel_mod
-
-        if not numpy_path:
-            monkeypatch.setattr(kernel_mod, "_np", None)
-        elif kernel_mod._np is None:  # pragma: no cover
-            pytest.skip("numpy unavailable")
+        _pin_path(monkeypatch, numpy_path)
         d = str(tmp_path)
         dense = self._dense(cache_key=("dense-csr", "synthetic", "t"))
         cold = self._run(self.HOLDING_ROWS, self.HOLDING_SPEC, dense)
+        # keys in the builder's packing match only unencoded nodes
+        assert not dense.matches_init([0], stable=True)
         assert dense.save_warm(d)
         assert not dense.save_warm(d)  # dirty-gated
         fresh = self._dense(cache_key=("dense-csr", "synthetic", "t"))
         assert fresh.load_warm(d)
-        assert fresh.complete and fresh.stable_keys
+        assert fresh.complete and fresh.stable_keys and fresh.restored
+        assert fresh.matches_init([0], stable=True)
+        assert not fresh.matches_init([1], stable=True)
         assert list(fresh.targets) == list(dense.targets)
         warm = self._run(self.HOLDING_ROWS, self.HOLDING_SPEC, fresh)
         assert warm == cold
@@ -481,13 +477,9 @@ class TestDenseKernel:
     ):
         from array import array
 
-        import repro.automata.kernel as kernel_mod
         from repro.cache import cache_path, save_payload
 
-        if not numpy_path:
-            monkeypatch.setattr(kernel_mod, "_np", None)
-        elif kernel_mod._np is None:  # pragma: no cover
-            pytest.skip("numpy unavailable")
+        _pin_path(monkeypatch, numpy_path)
 
         d = str(tmp_path)
         key = ("dense-csr", "synthetic", "t")
@@ -525,7 +517,9 @@ class TestDenseKernel:
             variant(offsets=array("q", [0, 4, 2, 5, 7, 8])),  # not monotone
             variant(offsets=array("q", [0, 2, 4, 5, 7, 9])),  # edge count
             variant(targets=array("q", [1, 2, 3, 4, 4, 1, 4, 99])),
+            variant(targets=array("q", [1, 2, 3, 4, 4, 1, 4, -1])),
             variant(node_keys=array("q", [0, 1, 2, 0, 99])),  # key > span
+            variant(node_keys=array("q", [0, 1, 2, 0, -1])),
             variant(node_keys=list(ok.node_keys)),      # list, not array
             variant(spec_ids=array("q", [1, 1, 0, 1, 1])),  # init not spec 0
         ]
@@ -538,6 +532,76 @@ class TestDenseKernel:
             fh.write(b"\x80garbage that is not a pickle")
         fresh = self._dense(cache_key=key)
         assert not fresh.load_warm(d)
+
+    def test_gate_one_edge_either_side(self, tmp_path, monkeypatch):
+        """A table of exactly ``DENSE_NUMPY_MIN_EDGES`` edges loads and
+        replays through numpy, one edge short of it through the stdlib,
+        with identical results — a forged target rejected on both."""
+        from array import array
+
+        import repro.automata.kernel as kernel_mod
+        from repro.cache import save_payload
+
+        pytest.importorskip("numpy")
+        d = str(tmp_path)
+        key = ("dense-csr", "synthetic", "t")
+        dense = self._dense(cache_key=key)
+        cold = self._run(self.HOLDING_ROWS, self.HOLDING_SPEC, dense)
+        assert dense.save_warm(d)
+        edges = len(dense.targets)
+        real = kernel_mod._numpy_for
+        picked = []
+
+        def spy(n):
+            np = real(n)
+            picked.append(np is not None)
+            return np
+
+        monkeypatch.setattr(kernel_mod, "_numpy_for", spy)
+        results = {}
+        for gate, numpy_path in ((edges, True), (edges + 1, False)):
+            monkeypatch.setattr(kernel_mod, "DENSE_NUMPY_MIN_EDGES", gate)
+            picked.clear()
+            fresh = self._dense(cache_key=key)
+            assert fresh.load_warm(d)
+            results[numpy_path] = (
+                fresh.run(),
+                self._run(self.HOLDING_ROWS, self.HOLDING_SPEC, fresh),
+            )
+            assert picked == [numpy_path] * 3  # load, run, product replay
+        assert results[True] == results[False]
+        assert results[True][1] == cold
+
+        targets = array("i", dense.targets)
+        targets[-1] = len(dense.node_keys)  # one past the last pair
+        save_payload(d, key, {
+            "span_bits": 3, "num_init": 1, "complete": True, "flags": [],
+            "node_keys": dense.node_keys, "spec_ids": dense.spec_ids,
+            "offsets": dense.offsets, "targets": targets,
+        })
+        for gate in (edges, edges + 1):
+            monkeypatch.setattr(kernel_mod, "DENSE_NUMPY_MIN_EDGES", gate)
+            assert not self._dense(cache_key=key).load_warm(d)
+
+    def test_range_check_is_exact_on_both_widths(self):
+        """The stdlib load's range test: a negative value wraps above
+        the bound in the unsigned view; bounds beyond the wrap take
+        min/max."""
+        from array import array
+
+        from repro.automata.kernel import _all_below
+
+        for tc in "iq":
+            vec = array(tc, [0, 5, 2])
+            wrap = 1 << (8 * vec.itemsize - 1)
+            lowest = array(tc, [-wrap])  # wraps to exactly ``wrap``
+            for bound in (6, wrap, wrap + 1):
+                assert _all_below(vec, bound)
+                assert _all_below(memoryview(vec), bound)
+                assert not _all_below(array(tc, [3, -1]), bound)
+                assert not _all_below(lowest, bound)
+            assert not _all_below(vec, 5)
+            assert _all_below(array(tc), 0)
 
     def test_load_rejects_stale_engine_version(self, tmp_path):
         import pickle

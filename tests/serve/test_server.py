@@ -117,7 +117,9 @@ def test_second_identical_request_hits_resident_tier():
             second = _check(client)
             assert second["result"] == first["result"]
             assert second["stats"]["safety_rows"] == 0
-            assert second["stats"]["warm_safety_rows"] > 0
+            # served by the restored dense table alone: no engine rows
+            assert second["stats"]["warm_dense_pairs"] > 0
+            assert second["stats"]["warm_safety_rows"] == 0
             stats = client.stats()
             assert stats["cache"]["keys"] > 0
             assert stats["requests"]["pass"] == 2
@@ -354,7 +356,9 @@ def test_kill9_restart_rehydrates_from_cold_tier(tmp_path):
             assert again["status"] == "pass"
             assert again["result"] == first["result"]
             assert again["stats"]["safety_rows"] == 0
-            assert again["stats"]["warm_safety_rows"] > 0
+            # served by the restored dense table alone: no engine rows
+            assert again["stats"]["warm_dense_pairs"] > 0
+            assert again["stats"]["warm_safety_rows"] == 0
         daemon.send_signal(signal.SIGTERM)
         assert daemon.wait(timeout=30) == 0
         assert not os.path.exists(sock)  # drain removed the socket
