@@ -27,6 +27,27 @@ tier for free) and sets ``collect_warm=True`` so the child ships every
 payload it *built* back over the result pipe — the daemon absorbs those
 blobs into its resident tier, which is how warm state accumulates in a
 process whose checks all run in throwaway children.
+
+The **spec table** comes back the same way, for every caller.  The
+compiled DFA-sided check needs the int-rows specification for its
+(n, k, property) — the same table for every TM — and a child that
+found the process-wide memo (:func:`repro.spec.compiled.cached_spec_dfa`)
+empty at fork time builds (or warm-loads) it itself, under the cell's
+timeout, memory cap and retry ladder.  It ships the table back with its
+result, flattened by :func:`~repro.spec.compiled.flatten_spec_rows`
+(the warm cache's encoding) together with whether it still owes a save;
+:func:`run_cell` validates it as a warm load would and installs it into
+the supervisor's own memo, so every later forked cell on that
+(n, k, property) inherits it copy-on-write and builds nothing
+(``stats["spec_states_built"] == 0``).  A child that inherited the
+table reports only whether it persisted it, so a later cell's cache
+receives the table exactly when one process running the same checks in
+order would have saved it.  Building in the supervisor instead would
+escape every bound: a (2, 3) spec can exhaust the campaign process.  A
+table that fails to pack in the child or to validate here is dropped —
+the next cell rebuilds it — and tallied as the cell's
+``stats["spec_handback"]`` (which the daemon also totals in its
+``stats`` record).  Results never vary with any of this.
 """
 
 from __future__ import annotations
@@ -35,6 +56,7 @@ import multiprocessing
 import os
 import random
 import signal
+import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -46,6 +68,10 @@ FAULT_EXCEPTION = "exception"
 
 #: Grace period for terminate before escalating to SIGKILL.
 _TERM_GRACE_S = 5.0
+
+#: Serializes spec-memo installs (the daemon runs cells on several
+#: threads).
+_INSTALL_LOCK = threading.Lock()
 
 #: Default ceiling on any single retry delay (decorrelated jitter can
 #: otherwise triple its way to minutes on high retry counts).  Cells
@@ -135,7 +161,9 @@ def _run_check(
     the rows restored from the cache, ``warm_dense_pairs`` the product
     pairs of restored dense tables (a warm holding check replays its
     table alone and restores no rows) — and the per-phase profile split
-    when the cell asked for one (``profile: true``).
+    when the cell asked for one (``profile: true``).  The worker adds
+    ``spec_states_built`` on DFA-sided cells (the spec states this
+    child built itself, 0 when it inherited the table).
     """
     from ..checking import check_safety
     from ..tm.registry import PROPERTIES, make_tm
@@ -184,6 +212,78 @@ def _run_check(
     return result, stats, profile
 
 
+def _spec_dfa_for(cell: Dict[str, object]):
+    """The memoized spec table a cell's check uses, or ``None``: only
+    the compiled DFA-sided check reads it (a ``lazy_spec`` oracle fills
+    its rows per product; the naive path uses the rich DFA)."""
+    if not cell.get("compiled", True) or cell.get("lazy_spec"):
+        return None
+    from ..spec.compiled import cached_spec_dfa
+    from ..tm.registry import PROPERTIES
+
+    return cached_spec_dfa(
+        cell["n"], cell["k"], PROPERTIES[cell["property"]]
+    )
+
+
+def _spec_hand_back(spec, held: bool) -> Dict[str, object]:
+    """The result-message fields that return the spec table to the
+    supervisor: the whole table when this child found the memo empty
+    and filled it, only the post-check dirty flag when it inherited the
+    table.  Packing never faults the already computed check: a failure
+    travels as ``spec_dfa_error`` instead of the table."""
+    if held:
+        return {"spec_dfa": {"dirty": spec.dirty}}
+    if spec.rows is None:
+        return {}
+    from ..spec.compiled import flatten_spec_rows
+
+    try:
+        flat = flatten_spec_rows(spec.rows)
+    except Exception as exc:  # tallied by the supervisor
+        return {"spec_dfa_error": repr(exc)}
+    return {
+        "spec_dfa": {
+            "rows": flat,
+            "num_states": len(spec.rows),
+            "dirty": spec.dirty,
+        }
+    }
+
+
+def _install_spec_table(
+    cell: Dict[str, object], msg: Dict[str, object]
+) -> Optional[str]:
+    """Take a successful child's spec hand-back into this process's
+    memo.  Names the outcome — ``installed``, ``rejected`` (the table
+    failed validation) or ``pack_failed`` (the child could not flatten
+    it) — or returns ``None`` when no table was offered.  Never raises:
+    a malformed table is rejected and the memo stays empty."""
+    if "spec_dfa_error" in msg:
+        return "pack_failed"
+    payload = msg.get("spec_dfa")
+    spec = _spec_dfa_for(cell)
+    if payload is None or spec is None:
+        return None
+    if not isinstance(payload, dict):
+        return "rejected"
+    with _INSTALL_LOCK:
+        if "rows" not in payload:
+            # The child ran on the table this process holds; it owes
+            # no save once the child has persisted it.
+            if spec.rows is not None and payload.get("dirty") is False:
+                spec.mark_persisted()
+            return None
+        if spec.rows is not None:
+            return None  # a concurrent cell installed it first
+        installed = spec.install(
+            payload.get("rows"),
+            payload.get("num_states"),
+            dirty=payload.get("dirty") is True,
+        )
+    return "installed" if installed else "rejected"
+
+
 def _cell_worker(
     conn,
     cell: Dict[str, object],
@@ -199,10 +299,15 @@ def _cell_worker(
             if collect_warm and cache is not None and cell.get("cache_dir")
             else None
         )
+        spec = _spec_dfa_for(cell)
+        held = spec is not None and spec.rows is not None
         result, stats, profile = _run_check(cell, cache)
         msg: Dict[str, object] = {
             "ok": True, "result": result, "stats": stats,
         }
+        if spec is not None:
+            stats["spec_states_built"] = 0 if held else spec.built_states
+            msg.update(_spec_hand_back(spec, held))
         if profile is not None:
             msg["profile"] = {
                 key: round(value, 6) for key, value in profile.items()
@@ -336,6 +441,9 @@ def run_cell(
         attempts = attempt
         last = _attempt(cell, attempt, cache, collect_warm)
         if last.get("ok"):
+            handback = _install_spec_table(cell, last)
+            if handback is not None:
+                last.setdefault("stats", {})["spec_handback"] = handback
             result = dict(last["result"])
             seconds = result.pop("seconds", None)
             outcome = {

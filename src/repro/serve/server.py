@@ -24,8 +24,11 @@ in-flight check):
 Warm state: a worker passes the resident store's backend into
 ``run_cell`` — the forked child inherits the hot tier copy-on-write —
 and absorbs the blobs the child built back into the store when the
-result comes home.  The ``result`` payload never depends on any of
-this (byte-identity contract).
+result comes home.  The spec table a child builds comes home too:
+``run_cell`` installs it in the daemon's memo, so later children
+inherit it (``spec_handback`` in the stats record tallies those
+hand-backs).  The ``result`` payload never depends on any of this
+(byte-identity contract).
 
 Drain: SIGTERM (or a ``shutdown`` request) closes the listener, lets
 the admitted queue empty, waits for in-flight checks to finish or
@@ -113,6 +116,9 @@ class CheckServer:
         # Chaos-plane wire injections ({"serve.send:reset": n, ...});
         # surfaced in stats so no injected wire fault is silent.
         self._wire_faults: Dict[str, int] = {}
+        # Spec-table hand-back outcomes of successful checks
+        # ({"installed": n, "rejected": n, "pack_failed": n}).
+        self._spec_handback: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -410,6 +416,11 @@ class CheckServer:
                 for fault in outcome.get("faults") or ():
                     name = fault.get("class", FAULT_EXCEPTION)
                     self._faults[name] = self._faults.get(name, 0) + 1
+                handback = (outcome.get("stats") or {}).get("spec_handback")
+                if handback:
+                    self._spec_handback[handback] = (
+                        self._spec_handback.get(handback, 0) + 1
+                    )
             response = protocol.check_response(request_id, outcome)
             if absorbed:
                 self._log(
@@ -448,6 +459,7 @@ class CheckServer:
             requests = dict(self._requests)
             faults = dict(self._faults)
             wire_faults = dict(self._wire_faults)
+            spec_handback = dict(self._spec_handback)
             inflight = self._inflight
         return {
             "op": "stats",
@@ -461,5 +473,6 @@ class CheckServer:
             "requests": requests,
             "faults": faults,
             "wire_faults": wire_faults,
+            "spec_handback": spec_handback,
             "cache": self.store.stats(),
         }

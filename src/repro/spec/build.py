@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 from ..automata.determinize import determinize
 from ..automata.dfa import DFA
-from ..automata.interned import intern_dfa
+from ..automata.interned import InternedDFA, intern_dfa
 from ..automata.nfa import NFA
 from ..core.statements import statements as all_statements
 from .common import SafetyProperty
@@ -79,13 +79,20 @@ def interned_spec_rows(
     compiled TM engine and the compiled spec oracle) at build time, so
     product checkers over the result never hash a Statement:
     ``rows[state][sym_id]`` is the successor state index or ``-1`` for
-    the rejecting sink, with state 0 initial.  ``spec`` defaults to the
-    memoized canonical specification; the interned form is cached on the
-    DFA instance either way.
+    the rejecting sink, with state 0 initial.  A given ``spec`` gets its
+    interned form cached on the instance.  Without one, the canonical
+    specification is built privately and interned uncached, so the rich
+    automaton (~28 MB resident for (2, 2) strict serializability) is
+    freed by reference counting when this returns: the rows are all a
+    compiled check reads, and the product search that follows would
+    otherwise carry the automaton in its peak.  The interned form points
+    back at its DFA, so caching it on the instance would leave a cycle
+    that only a full collection frees.
     """
     if spec is None:
-        spec = cached_det_spec(n, k, prop)
-    interned = intern_dfa(spec)
+        interned = InternedDFA(build_det_spec(n, k, prop))
+    else:
+        interned = intern_dfa(spec)
     assert interned.initial == 0
     return interned.delta_by_symbol_ids(
         all_statements(n, k, include_abort=True)

@@ -333,6 +333,53 @@ def make_packed_step(
     return step
 
 
+def _cells_within(flat, low: int, high: int) -> bool:
+    """Whether every cell of the int vector ``flat`` lies in ``[low,
+    high)``.  A plain loop on purpose: over the 41k cells of the (2, 2)
+    ss table it takes ~1.5 ms on CPython 3.11, against ~2.9 ms for
+    builtin ``min`` plus ``max`` (the interpreter's specialized int
+    compares beat the builtins' generic ones; the unsigned-view ``max``
+    the dense kernel uses cannot admit the negative sink)."""
+    for cell in flat:
+        if not low <= cell < high:
+            return False
+    return True
+
+
+def flatten_spec_rows(rows) -> array:
+    """A complete spec table as one flat typed int vector — the encoding
+    :meth:`CompiledSpecDFA.save_warm` persists and a supervised campaign
+    cell ships back to its supervisor; :func:`restore_spec_rows` is the
+    inverse.  Built ``array`` rows and the memoryview slices the mmap
+    backend restores flatten alike, joined as raw machine words at the
+    width the rows share (rows of mixed widths raise ``ValueError``)."""
+    flat = array((int_vector_typecode(rows[0]) or "i") if rows else "i")
+    flat.frombytes(b"".join(rows))
+    if len(flat) != sum(map(len, rows)):
+        raise ValueError("spec rows of mixed int widths")
+    return flat
+
+
+def restore_spec_rows(flat, num_states, num_symbols: int) -> Optional[Tuple]:
+    """The per-state rows of a :func:`flatten_spec_rows` vector, or
+    ``None`` when the table is malformed: ``flat`` not a typed int
+    vector, ``num_states`` not a positive int, a length other than
+    ``num_states * num_symbols``, or a cell outside ``[SINK,
+    num_states)``.  Rows are read-only after
+    :meth:`CompiledSpecDFA.ensure`, so slices of the flat vector suffice
+    — under the mmap backend, zero-copy views into the page cache."""
+    if (
+        not is_int_vector(flat)
+        or not isinstance(num_states, int)
+        or num_states <= 0
+        or len(flat) != num_states * num_symbols
+        or not _cells_within(flat, SINK, num_states)
+    ):
+        return None
+    ns = num_symbols
+    return tuple(flat[i * ns : (i + 1) * ns] for i in range(num_states))
+
+
 class CompiledSpecOracle:
     """Interned, memoized Algorithm 6 oracle over packed states.
 
@@ -442,9 +489,8 @@ class CompiledSpecOracle:
                 return False
         if len(set(states)) != nstates:
             return False
-        for cell in rows:
-            if not UNQUERIED <= cell < nstates:
-                return False
+        if not _cells_within(rows, UNQUERIED, nstates):
+            return False
         ns = self.num_symbols
         # Copy each flat-row slice into a mutable per-state array —
         # :meth:`fill` writes into rows, so mmap-served views must not
@@ -511,9 +557,10 @@ class CompiledSpecDFA:
     cell), so :func:`repro.automata.kernel.product_packed` consumes it
     exactly like the oracle, and never needs to fill a row.
 
-    The table is built on demand (:meth:`ensure`) from the memoized
-    canonical specification via
-    :func:`repro.spec.build.interned_spec_rows`; because it is pure
+    The table is built on demand (:meth:`ensure`) from a private build
+    of the canonical specification via
+    :func:`repro.spec.build.interned_spec_rows`, which frees the rich
+    automaton before the product search starts; because it is pure
     ints, it also spills to the on-disk warm cache, and a warm-started
     process runs the DFA-sided check without ever materializing the rich
     DFA.  All observable product outputs are invariant under the state
@@ -533,6 +580,9 @@ class CompiledSpecDFA:
         #: warm-loaded (memoryviews under the mmap backend).
         self.rows: Optional[Tuple] = None
         self._dirty = False
+        #: States :meth:`ensure` interned in this process (0 while the
+        #: table is absent, warm-loaded or installed).
+        self.built_states = 0
 
     @property
     def num_states(self) -> int:
@@ -551,7 +601,41 @@ class CompiledSpecDFA:
             for row in interned_spec_rows(self.n, self.k, self.prop)
         )
         self._dirty = True
+        self.built_states = len(self.rows)
         return self
+
+    @property
+    def dirty(self) -> bool:
+        """Whether the table holds work no :meth:`save_warm` persisted."""
+        return self._dirty
+
+    def mark_persisted(self) -> None:
+        """Record that another holder of this very table (a forked
+        campaign cell that inherited it) persisted it: a later
+        :meth:`save_warm` here is then a no-op, as in one process."""
+        self._dirty = False
+
+    def install(self, flat, num_states, *, dirty: bool = False) -> bool:
+        """Adopt a table in the :func:`flatten_spec_rows` encoding — a
+        warm-cache payload, or the table a supervised campaign cell
+        built and shipped back (:mod:`repro.campaign.supervisor`).
+
+        Fresh tables only; a malformed table is rejected wholesale
+        (:func:`restore_spec_rows`) and this one stays empty.  ``dirty``
+        carries over whether the process that built the table still
+        owed a save, so it is persisted later exactly when that process
+        would have persisted it.  Returns True iff installed.
+        """
+        if self.rows is not None or self._dirty:
+            return False
+        rows = restore_spec_rows(flat, num_states, self.num_symbols)
+        if rows is None:
+            return False
+        # The flag first: a child forked in between (daemon threads)
+        # must never see the table without the save it is owed.
+        self._dirty = bool(dirty)
+        self.rows = rows
+        return True
 
     # ------------------------------------------------------------------
     # Warm-start persistence
@@ -568,40 +652,20 @@ class CompiledSpecDFA:
         data = load_payload(cache_dir, self._cache_key())
         if not isinstance(data, dict):
             return False
-        flat = data.get("rows")
-        nstates = data.get("num_states")
-        ns = self.num_symbols
-        if (
-            not is_int_vector(flat)
-            or not isinstance(nstates, int)
-            or nstates <= 0
-            or len(flat) != nstates * ns
-        ):
-            return False
-        for cell in flat:
-            if not SINK <= cell < nstates:
-                return False
-        # Rows are read-only after ensure(): slices of the flat vector
-        # suffice, and under the mmap backend they are zero-copy views
-        # straight into the page cache.
-        self.rows = tuple(
-            flat[i * ns : (i + 1) * ns] for i in range(nstates)
-        )
-        self._dirty = False
-        return True
+        return self.install(data.get("rows"), data.get("num_states"))
 
     def save_warm(self, cache_dir: str) -> bool:
         """Spill the table to ``cache_dir`` (no-op unless dirty): one
         flat typed vector plus the state count."""
         if not self._dirty or self.rows is None:
             return False
-        flat = array(self.rows[0].typecode if self.rows else "i")
-        for row in self.rows:
-            flat.extend(row)
         ok = save_payload(
             cache_dir,
             self._cache_key(),
-            {"rows": flat, "num_states": len(self.rows)},
+            {
+                "rows": flatten_spec_rows(self.rows),
+                "num_states": len(self.rows),
+            },
         )
         if ok:
             self._dirty = False

@@ -5,12 +5,19 @@ stays fast; the fork start method means children inherit the parent's
 already-imported modules.
 """
 
+import os
+
 import pytest
 
 from repro.campaign.supervisor import run_cell
 from repro.campaign.spec import parse_spec
 from repro.checking import check_safety
 from repro.spec import SS
+from repro.spec.compiled import (
+    CompiledSpecDFA,
+    cached_spec_dfa,
+    clear_spec_dfa_cache,
+)
 from repro.tm import DSTM
 
 
@@ -266,3 +273,201 @@ def test_backoff_cap_surfaces_in_the_report(tmp_path):
     run = run_campaign(spec, str(tmp_path / "j.jsonl"))
     report = build_report(run)
     assert report["cells"][0]["backoff_cap_s"] == 7.5
+
+
+# ----------------------------------------------------------------------
+# Spec-table hand-back: forked cells inherit the supervisor's spec DFA
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def empty_spec_memo():
+    """Every hand-back test starts from, and leaves, an empty memo."""
+    clear_spec_dfa_cache()
+    yield
+    clear_spec_dfa_cache()
+
+
+def _memo():
+    return cached_spec_dfa(2, 1, SS)
+
+
+def test_second_cell_inherits_the_spec_table(empty_spec_memo):
+    """The first cell builds the spec and hands it back; the next cell
+    on the same (n, k, property) builds nothing, and its result equals
+    a run from a fresh (empty-memo) supervisor."""
+    first = run_cell(_cell())
+    assert first["stats"]["spec_states_built"] == _memo().num_states > 0
+    assert first["stats"]["spec_handback"] == "installed"
+
+    second = run_cell(_cell(tm="2pl"))
+    assert second["stats"]["spec_states_built"] == 0
+    assert "spec_handback" not in second["stats"]  # nothing offered
+
+    clear_spec_dfa_cache()
+    fresh = run_cell(_cell(tm="2pl"))
+    assert fresh["stats"]["spec_states_built"] > 0
+    assert second["result"] == fresh["result"]
+    assert second["status"] == fresh["status"]
+
+
+def test_installed_table_equals_a_built_one(empty_spec_memo):
+    run_cell(_cell())
+    assert _memo().rows == CompiledSpecDFA(2, 1, SS).ensure().rows
+    assert _memo().built_states == 0  # installed, not built here
+
+
+def test_lazy_spec_and_naive_cells_hand_back_nothing(empty_spec_memo):
+    for overrides in ({"lazy_spec": True}, {"compiled": False}):
+        entry = run_cell(_cell(**overrides))
+        assert entry["status"] == "pass"
+        assert "spec_states_built" not in entry.get("stats", {})
+        assert _memo().rows is None
+
+
+@pytest.mark.parametrize(
+    "malform",
+    ["wrong-length", "sink-below", "cell-at-num-states", "wrong-type"],
+)
+def test_malformed_hand_back_is_rejected_and_tallied(
+    empty_spec_memo, monkeypatch, malform
+):
+    """A child whose flattened table is malformed: the supervisor
+    rejects it (tallied, never raised), its memo stays empty, and the
+    next cell rebuilds the spec with the same verdict."""
+    import repro.spec.compiled as compiled
+
+    clean = run_cell(_cell())
+    clear_spec_dfa_cache()
+    real = compiled.flatten_spec_rows
+
+    def bad_flatten(rows):
+        flat = real(rows)
+        if malform == "wrong-length":
+            return flat[:-1]
+        if malform == "sink-below":
+            flat[0] = -2
+            return flat
+        if malform == "cell-at-num-states":
+            flat[0] = len(rows)
+            return flat
+        return list(flat)  # not a typed int vector
+
+    # Forked children inherit the patched module attribute.
+    monkeypatch.setattr(compiled, "flatten_spec_rows", bad_flatten)
+    entry = run_cell(_cell())
+    assert entry["status"] == "pass" and entry["faults"] == []
+    assert entry["stats"]["spec_handback"] == "rejected"
+    assert _memo().rows is None
+    monkeypatch.setattr(compiled, "flatten_spec_rows", real)
+
+    again = run_cell(_cell())
+    assert again["stats"]["spec_states_built"] > 0
+    assert again["result"] == entry["result"] == clean["result"]
+
+
+def test_install_rejects_a_non_dict_payload(empty_spec_memo):
+    from repro.campaign.supervisor import _install_spec_table
+
+    msg = {"ok": True, "spec_dfa": "not a table"}
+    assert _install_spec_table(_cell(), msg) == "rejected"
+    assert _memo().rows is None
+
+
+def test_pack_failure_never_faults_the_check(empty_spec_memo, monkeypatch):
+    import repro.spec.compiled as compiled
+
+    clean = run_cell(_cell())
+    clear_spec_dfa_cache()
+
+    def broken(rows):
+        raise TypeError("cannot flatten")
+
+    monkeypatch.setattr(compiled, "flatten_spec_rows", broken)
+    entry = run_cell(_cell())
+    assert entry["status"] == "pass"
+    assert entry["attempts"] == 1 and entry["faults"] == []
+    assert entry["result"] == clean["result"]
+    assert entry["stats"]["spec_handback"] == "pack_failed"
+    assert _memo().rows is None
+
+
+@pytest.mark.parametrize("inject", ["sigkill_attempts", "fail_attempts"])
+def test_faulted_attempt_installs_nothing(empty_spec_memo, inject):
+    """Only a successful attempt hands a table back: an exhausted cell
+    leaves the memo empty, and a retried one installs the retry's
+    table with the unchanged result."""
+    clean = run_cell(_cell())
+    clear_spec_dfa_cache()
+    failed = run_cell(_cell(retries=0, inject={inject: 1}))
+    assert failed["status"] == "error"
+    assert _memo().rows is None
+
+    entry = run_cell(_cell(retries=1, inject={inject: 1}))
+    assert entry["status"] == "pass" and entry["attempts"] == 2
+    assert entry["result"] == clean["result"]
+    assert entry["stats"]["spec_states_built"] > 0
+    assert entry["stats"]["spec_handback"] == "installed"
+    assert _memo().rows is not None
+
+
+def _spec_saved(cache_dir) -> bool:
+    return any(name.startswith("spec-dfa") for name in os.listdir(cache_dir))
+
+
+@pytest.mark.parametrize(
+    "caches",
+    [(None, "a", "b"), ("a", "b"), (None, None, "a", "b")],
+    ids=["cold-then-two-caches", "cache-then-cache", "two-cold-first"],
+)
+def test_inherited_table_persists_like_one_process(
+    empty_spec_memo, tmp_path, caches
+):
+    """Cells run in order persist the spec table to exactly the caches
+    one process running the same checks in order would: the first
+    cache after the build receives it, later ones do not."""
+
+    def dirs(root):
+        out = []
+        for name in caches:
+            if name is None:
+                out.append(None)
+            else:
+                path = os.path.join(str(tmp_path), root, name)
+                os.makedirs(path)
+                out.append(path)
+        return out
+
+    reference = dirs("one-process")
+    for cache_dir in reference:
+        check_safety(DSTM(2, 1), SS, cache_dir=cache_dir)
+    expected = [_spec_saved(d) for d in reference if d is not None]
+    assert expected[0] and not any(expected[1:])
+
+    clear_spec_dfa_cache()
+    cells = dirs("cells")
+    for cache_dir in cells:
+        entry = run_cell(_cell(cache_dir=cache_dir))
+        assert entry["status"] == "pass"
+    assert [_spec_saved(d) for d in cells if d is not None] == expected
+
+
+def test_mmap_restored_child_hands_back_without_faulting(
+    empty_spec_memo, tmp_path
+):
+    """A child that warm-loads the spec from the mmap backend holds
+    memoryview rows; it still hands the table back — no ``exception``
+    fault, no cold retry — and the supervisor installs it."""
+    cell = _cell(cache_dir=str(tmp_path), cache_backend="mmap")
+    first = run_cell(cell)
+    assert first["status"] == "pass"
+    clear_spec_dfa_cache()
+
+    warm = run_cell(cell)
+    assert warm["status"] == "pass"
+    assert warm["attempts"] == 1 and warm["faults"] == []
+    assert warm["result"] == first["result"]
+    assert warm["stats"]["warm_dense_pairs"] > 0
+    assert warm["stats"]["spec_states_built"] == 0  # loaded, not built
+    assert warm["stats"]["spec_handback"] == "installed"
+    assert _memo().rows == CompiledSpecDFA(2, 1, SS).ensure().rows

@@ -125,6 +125,28 @@ def test_second_identical_request_hits_resident_tier():
             assert stats["requests"]["pass"] == 2
 
 
+def test_daemon_children_inherit_the_spec_table():
+    """The first check's child builds the spec table and hands it back;
+    the daemon's next child inherits it, and the stats record tallies
+    the hand-back."""
+    from repro.spec.compiled import clear_spec_dfa_cache
+
+    clear_spec_dfa_cache()
+    try:
+        with _Daemon() as daemon:
+            with daemon.client() as client:
+                first = _check(client)
+                second = _check(client, tm="2pl")
+                stats = client.stats()
+    finally:
+        clear_spec_dfa_cache()
+    assert first["stats"]["spec_states_built"] > 0
+    assert first["stats"]["spec_handback"] == "installed"
+    assert second["status"] == "pass"
+    assert second["stats"]["spec_states_built"] == 0
+    assert stats["spec_handback"] == {"installed": 1}
+
+
 def test_concurrent_clients_byte_identical():
     with _Daemon(workers=2, queue_depth=16) as daemon:
         with daemon.client() as warmup:

@@ -316,6 +316,38 @@ def test_compiled_spec_dfa_matches_rich_dfa():
             assert cdfa.rows[idx][sym_id] == expected
 
 
+def test_compiled_spec_dfa_build_frees_the_rich_dfa(monkeypatch):
+    """ensure() interns a private automaton that neither the process
+    memo nor a reference cycle keeps alive: the rich DFA is freed by
+    reference counting before ensure() returns, so it never sits under
+    the product search that follows (a campaign cell's peak memory)."""
+    import gc
+    import weakref
+
+    from repro.spec import build
+    from repro.spec.build import cached_det_spec, clear_spec_cache
+    from repro.spec.compiled import CompiledSpecDFA
+
+    built = []
+    original = build.build_det_spec
+
+    def recording_build(n, k, prop):
+        dfa = original(n, k, prop)
+        built.append(weakref.ref(dfa))
+        return dfa
+
+    monkeypatch.setattr(build, "build_det_spec", recording_build)
+    clear_spec_cache()
+    gc.disable()
+    try:
+        cdfa = CompiledSpecDFA(2, 1, SS).ensure()
+        assert len(built) == 1 and built[0]() is None
+    finally:
+        gc.enable()
+    assert cached_det_spec.cache_info().currsize == 0
+    assert cdfa.rows == CompiledSpecDFA(2, 1, SS).ensure().rows
+
+
 def test_compiled_spec_dfa_rejects_malformed_payloads(tmp_path):
     from repro.cache import save_payload
     from repro.spec.compiled import CompiledSpecDFA
@@ -336,6 +368,72 @@ def test_compiled_spec_dfa_rejects_malformed_payloads(tmp_path):
         fresh = CompiledSpecDFA(2, 1, SS)
         assert not fresh.load_warm(d), payload
         assert fresh.rows is None
+
+
+def test_compiled_spec_dfa_range_checks_every_flat_cell(tmp_path):
+    """Well-typed, right-length flat tables with one cell out of range:
+    below the sink (-2) or equal to the state count.  The same tables
+    one step inside the range load."""
+    from array import array
+
+    from repro.cache import save_payload
+    from repro.spec.compiled import CompiledSpecDFA
+
+    d = str(tmp_path)
+    built = CompiledSpecDFA(2, 1, SS).ensure()
+    key = built._cache_key()
+    nstates = built.num_states
+    for where in (0, nstates * built.num_symbols - 1):
+        for cell, ok in ((-2, False), (nstates, False),
+                         (SINK, True), (nstates - 1, True)):
+            flat = array("i", [0] * (nstates * built.num_symbols))
+            flat[where] = cell
+            save_payload(d, key, {"rows": flat, "num_states": nstates})
+            fresh = CompiledSpecDFA(2, 1, SS)
+            assert fresh.load_warm(d) is ok, (where, cell)
+            assert (fresh.rows is not None) is ok
+
+
+def test_spec_table_codec_round_trips_any_row_type():
+    """``flatten_spec_rows`` accepts built arrays and mmap-style
+    memoryview slices (mixed widths raise); ``restore_spec_rows`` is
+    its validated inverse and ``install`` adopts the result."""
+    from array import array
+
+    from repro.spec.compiled import (
+        CompiledSpecDFA,
+        flatten_spec_rows,
+        restore_spec_rows,
+    )
+
+    built = CompiledSpecDFA(2, 2, OP).ensure()
+    ns, nstates = built.num_symbols, built.num_states
+    flat = flatten_spec_rows(built.rows)
+    assert flat.typecode == "i" and len(flat) == nstates * ns
+    view = memoryview(flat.tobytes()).cast("i")
+    views = tuple(view[i * ns:(i + 1) * ns] for i in range(nstates))
+    assert flatten_spec_rows(views) == flat
+    wide = tuple(array("q", row) for row in built.rows)
+    assert flatten_spec_rows(wide) == array("q", flat)
+    with pytest.raises(ValueError):
+        flatten_spec_rows((wide[0],) + built.rows[1:])
+    assert restore_spec_rows(flat, nstates, ns) == built.rows
+    assert restore_spec_rows(view, nstates, ns) == views
+    for bad in (
+        (list(flat), nstates),       # not a typed int vector
+        (flat[:-1], nstates),        # wrong length
+        (flat, 0),                   # no states
+        (flat, float(nstates)),      # state count not an int
+    ):
+        assert restore_spec_rows(bad[0], bad[1], ns) is None
+
+    table = CompiledSpecDFA(2, 2, OP)
+    assert table.install(flat, nstates, dirty=True)
+    assert table.rows == built.rows and table.dirty
+    assert table.built_states == 0
+    assert not table.install(flat, nstates)  # fresh tables only
+    table.mark_persisted()
+    assert not table.dirty
 
 
 def test_compiled_spec_dfa_load_refuses_used_table(tmp_path):
